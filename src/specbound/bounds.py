@@ -259,12 +259,7 @@ def lower_bound_estimate(C, trials, seed):
     this constant-1 value exceeds the true expected norm.  It is not a
     bound: see ``lower_bound_explicit`` for one that holds with constant 1.
     """
-    maxima = _max_entry_maxima(C, trials, seed)
-    if not maxima:
-        return NormEstimate(0.0, 0.0, trials, seed)
-    p = structural_params(C)
-    offset = p.sigma if C.kind == "symmetric" else p.sigma1 + p.sigma2
-    return NormEstimate.from_values(maxima, seed, offset=offset)
+    return _structural_lower(C, _max_entry_maxima(C, trials, seed), trials, seed)
 
 
 def lower_bound_explicit(C, trials, seed):
@@ -285,7 +280,20 @@ def lower_bound_explicit(C, trials, seed):
     mean of max(a, M_t) exceeds max(a, E M) and is no bound.  std_error is
     the max term's when it wins and 0.0 when the deterministic term wins.
     """
-    maxima = _max_entry_maxima(C, trials, seed)
+    return _explicit_lower(C, _max_entry_maxima(C, trials, seed), trials, seed)
+
+
+def _structural_lower(C, maxima, trials, seed):
+    """``lower_bound_estimate`` from already drawn ``_max_entry_maxima``."""
+    if not maxima:
+        return NormEstimate(0.0, 0.0, trials, seed)
+    p = structural_params(C)
+    offset = p.sigma if C.kind == "symmetric" else p.sigma1 + p.sigma2
+    return NormEstimate.from_values(maxima, seed, offset=offset)
+
+
+def _explicit_lower(C, maxima, trials, seed):
+    """``lower_bound_explicit`` from already drawn ``_max_entry_maxima``."""
     p = structural_params(C)
     floor = math.sqrt(max(p.sigma**2 - p.sigma_star**2, 0.0))
     if maxima:

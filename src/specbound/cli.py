@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from . import bounds as bounds_mod
@@ -41,28 +41,36 @@ COMMANDS = (
     "validate",
 )
 
-_MANIFEST_KEYS = {
-    "command",
-    "pattern",
-    "matrix_file",
-    "matrix_format",
-    "matrix_kind",
-    "distribution",
-    "epsilon",
-    "alpha",
-    "beta",
-    "p",
-    "trials",
-    "seed",
-    "tol",
-    "output",
-    "threads",
-    "n_grid",
-    "k_rule",
-    "t_grid",
-    "moments_action",
-    "band_variant",
+_NUMBER = (int, float)
+# manifest key -> accepted JSON type; [t] is a list of t
+_MANIFEST_TYPES = {
+    "command": str,
+    "pattern": str,
+    "matrix_file": str,
+    "matrix_format": str,
+    "matrix_kind": str,
+    "distribution": str,
+    "epsilon": _NUMBER,
+    "alpha": _NUMBER,
+    "beta": _NUMBER,
+    "p": _NUMBER,
+    "trials": int,
+    "seed": int,
+    "tol": _NUMBER,
+    "output": str,
+    "threads": int,
+    "n_grid": [int],
+    "k_rule": str,
+    "t_grid": [_NUMBER],
+    "moments_action": str,
+    "band_variant": str,
 }
+
+
+def _has_type(value, kind):
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -92,11 +100,17 @@ class RunManifest:
 
     @staticmethod
     def from_dict(data):
-        unknown = set(data) - _MANIFEST_KEYS
+        unknown = set(data) - set(_MANIFEST_TYPES)
         if unknown:
             raise ParameterError(f"unknown manifest keys: {sorted(unknown)}")
         if "command" not in data:
             raise ParameterError("manifest needs a command")
+        optional = {f.name for f in fields(RunManifest) if f.default is None}
+        for key, value in data.items():
+            if value is None and key in optional:
+                continue
+            if not _has_type(value, _MANIFEST_TYPES[key]):
+                raise ParameterError(f"manifest key {key!r} has the wrong type: {value!r}")
         return RunManifest(**data)
 
     def content_hash(self):
@@ -426,7 +440,7 @@ def build_parser():
         "reference curves sigma sqrt(log n) and sigma* sqrt(n), dimension-free and "
         "Rademacher/split variants",
         "sample": "draw one X_ij = xi_ij b_ij realization and write it as CSV",
-        "norm": "spectral norm of one realization (dense eigensolver or Lanczos)",
+        "norm": "spectral norm of one realization (dense eigensolver or ARPACK Lanczos)",
         "moments": "exact even-cycle census and the trace-moment comparison "
         "E Tr[X^2p] <= n/(ceil(sigma^2)+p) E Tr[Y^2p]",
         "phase": "sparse-pattern scan of ||X||/sqrt(k): tends to 2 when k/log n grows, "
@@ -437,8 +451,8 @@ def build_parser():
         "semicircle law (equal row degrees required)",
         "seginer": "block-diagonal scaling study: E||X||/sqrt(log n) stays bounded for "
         "k = ceil(sqrt(log n)) blocks of Rademacher entries",
-        "report": "lower estimate sigma + E max|b g| vs MC norm vs upper bounds, plus the "
-        "unasserted max-column-norm ratio diagnostic",
+        "report": "explicit lower bound vs MC norm vs upper bounds, plus the unasserted "
+        "structural value sigma + E max|b g| and max-column-norm ratio diagnostics",
         "validate": "check a manifest's preconditions without executing it",
     }
     for cmd in COMMANDS:
@@ -462,10 +476,13 @@ def _merge_manifest(args):
         with open(args.manifest) as fh:
             data.update(json.load(fh))
     cli = {k: v for k, v in vars(args).items() if k != "manifest" and v is not None}
-    if "n_grid" in cli and isinstance(cli["n_grid"], str):
-        cli["n_grid"] = [int(x) for x in cli["n_grid"].split(",")]
-    if "t_grid" in cli and isinstance(cli["t_grid"], str):
-        cli["t_grid"] = [float(x) for x in cli["t_grid"].split(",")]
+    try:
+        if "n_grid" in cli:
+            cli["n_grid"] = [int(x) for x in cli["n_grid"].split(",")]
+        if "t_grid" in cli:
+            cli["t_grid"] = [float(x) for x in cli["t_grid"].split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"malformed grid flag: {exc}") from None
     data.update(cli)
     return RunManifest.from_dict(data)
 
@@ -494,7 +511,8 @@ def _err(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
     best = getattr(exc, "best", None)
     if best is not None:
-        payload["best_estimate"] = getattr(best, "value", None) or getattr(best, "mean", None)
+        value = getattr(best, "value", None)
+        payload["best_estimate"] = value if value is not None else getattr(best, "mean", None)
     print(json.dumps(payload), file=sys.stderr)
 
 

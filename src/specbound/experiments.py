@@ -309,12 +309,16 @@ def seginer_block_experiment(n_grid, dist, trials, seed, threads=1, tol=DEFAULT_
 
 
 def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
-    """Lower estimate, MC norm, diagnostic column ratio, and all upper bounds.
+    """Lower bound, MC norm, diagnostics, and all upper bounds.
 
-    Asserted (as report flags, not exceptions): the structural lower value
-    sits below the MC mean, and the MC mean stays below the explicit-
-    constant upper bound.  The max-column-norm ratio is reported but never
-    asserted; it corresponds to an open conjecture.
+    Asserted (as report flags, not exceptions): for Gaussian entries, the
+    explicit-constant lower bound ``lower_bound_explicit`` sits below the MC
+    mean; for every law, the MC mean
+    stays below every explicit-constant upper bound.  Reported but never
+    asserted: the constant-1 structural value sigma + E max|b g|, which
+    overshoots E||X|| by sigma_star on diagonal patterns, and the
+    max-column-norm ratio, which corresponds to an open conjecture.  Both
+    lower values come from one set of max-entry draws.
     """
 
     def one(t):
@@ -326,7 +330,9 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
     maxrows = np.asarray([p[1] for p in pairs])
     norm_est = NormEstimate.from_values(norms, seed)
     maxrow_est = NormEstimate.from_values(maxrows, seed)
-    lower = bounds_mod.lower_bound_estimate(C, trials, seed)
+    maxima = bounds_mod._max_entry_maxima(C, trials, seed)
+    lower = bounds_mod._explicit_lower(C, maxima, trials, seed)
+    structural = bounds_mod._structural_lower(C, maxima, trials, seed)
 
     upper = {}
     if C.kind == "symmetric":
@@ -344,9 +350,10 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
 
     failures = []
     combined_se = math.hypot(lower.std_error, norm_est.std_error)
-    if lower.mean > norm_est.mean + 3.0 * combined_se:
+    # the lower bound is proved for Gaussian entries only
+    if dist.family == "gaussian" and lower.mean > norm_est.mean + 3.0 * combined_se:
         failures.append(
-            f"lower estimate {lower.mean:.6g} exceeds MC mean {norm_est.mean:.6g} "
+            f"explicit lower bound {lower.mean:.6g} exceeds MC mean {norm_est.mean:.6g} "
             f"+ 3*stderr {3 * combined_se:.3g}"
         )
     for name, rep in upper.items():
@@ -366,6 +373,7 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
         "seed": seed,
         "lower_estimate": lower.mean,
         "lower_stderr": lower.std_error,
+        "structural_lower_diagnostic": structural.mean,
         "mc_norm_mean": norm_est.mean,
         "mc_norm_stderr": norm_est.std_error,
         "mc_max_col_norm_mean": maxrow_est.mean,

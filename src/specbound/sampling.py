@@ -15,6 +15,7 @@ dense storage).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -32,6 +33,7 @@ STREAM_MAX_ENTRY = 2
 STREAM_PATTERN = 3
 
 _SQRT3 = math.sqrt(3.0)
+_PLAN_LOCK = threading.Lock()  # one plan compile per pattern when trials run on threads
 
 
 @dataclass(frozen=True)
@@ -169,6 +171,29 @@ def distribution_moment(dist, order):
     raise ParameterError("moments of a custom distribution are not known exactly")
 
 
+def _symmetric_sparse_plan(C):
+    """(b, indptr, indices, gather) for sampling a symmetric sparse pattern.
+
+    b is the upper triangle in the row-major contract order; indptr and
+    indices are the canonical CSR structure of the full mirrored X; gather
+    maps each CSR slot to the variate that fills it, so one trial's data is
+    (b * xi)[gather].  Compiled once and cached on the immutable pattern.
+    """
+    with _PLAN_LOCK:
+        plan = getattr(C, "_sampling_plan", None)
+        if plan is None:
+            i, j, b = C.upper_triangle()
+            off = i != j
+            rows = np.concatenate([i, j[off]])
+            cols = np.concatenate([j, i[off]])
+            source = np.concatenate([np.arange(b.shape[0]), np.flatnonzero(off)])
+            # the same COO -> CSR conversion as a direct build, so the
+            # structure (and index dtype) matches it exactly
+            S = sp.coo_array((source, (rows, cols)), shape=(C.rows, C.cols)).tocsr()
+            plan = C._sampling_plan = (b, S.indptr, S.indices, S.data)
+    return plan
+
+
 def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     """One draw of X = (xi_ij b_ij), matching C's storage kind.
 
@@ -176,16 +201,14 @@ def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     across the diagonal; the zero pattern of C is preserved exactly.
     """
     rng = seed.generator(stream)
+    if C.kind == "symmetric" and C.is_sparse:
+        b, indptr, indices, gather = _symmetric_sparse_plan(C)
+        vals = b * draw_entries(dist, rng, b.shape[0])
+        return sp.csr_array((vals[gather], indices.copy(), indptr.copy()), shape=(C.rows, C.cols))
     if C.kind == "symmetric":
         i, j, b = C.upper_triangle()
         xi = draw_entries(dist, rng, b.shape[0])
         vals = b * xi
-        if C.is_sparse:
-            off = i != j
-            rows = np.concatenate([i, j[off]])
-            cols = np.concatenate([j, i[off]])
-            data = np.concatenate([vals, vals[off]])
-            return sp.coo_array((data, (rows, cols)), shape=(C.rows, C.cols)).tocsr()
         X = np.zeros((C.rows, C.cols))
         X[i, j] = vals
         return X + np.triu(X, 1).T

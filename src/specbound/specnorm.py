@@ -1,10 +1,13 @@
 """Spectral norm of realized matrices.
 
-Small dense inputs go through LAPACK (eigvalsh / svd); anything larger runs
-a Lanczos iteration with full reorthogonalization, tracking both extreme
-Ritz values so the maximum of |lambda_min| and |lambda_max| is captured.
-Rectangular inputs are handled through the symmetric dilation
-[[0, X], [X^T, 0]], whose norm equals the largest singular value.
+Dispatch is on storage.  Dense arrays up to DENSE_THRESHOLD go through
+LAPACK (eigvalsh / svd).  Sparse input, whatever its size, and larger dense
+arrays go to ARPACK's implicitly restarted Lanczos (``eigsh(k=1,
+which="LM")``), which returns the eigenvalue of largest magnitude, i.e.
+max(|lambda_min|, |lambda_max|), from a fixed start vector.  Only operators
+too small for ARPACK (dim <= 2) are densified.  Rectangular inputs are
+handled through the symmetric dilation [[0, X], [X^T, 0]], whose norm
+equals the largest singular value.
 """
 
 from __future__ import annotations
@@ -13,15 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DataError, NonConvergenceError, ParameterError, SizeError
 
-DENSE_THRESHOLD = 2048      # spectral_norm switches to Lanczos above this
+DENSE_THRESHOLD = 2048      # dense arrays switch from LAPACK to ARPACK above this
 EIG_DENSE_THRESHOLD = 4096  # full-spectrum cap for eigenvalues_all
-LANCZOS_MAX_DIM = 300
-LANCZOS_MAX_RESTARTS = 40
 
 _START_SEED = 0x5BEC7B0  # fixed start vector; keeps runs bit-reproducible
 
@@ -56,12 +56,9 @@ def _is_symmetric(M):
 
 
 def _is_diagonal(M):
-    if sp.issparse(M):
-        coo = M.tocoo()
-        mask = coo.data != 0
-        return bool(np.all(coo.row[mask] == coo.col[mask]))
-    A = np.asarray(M)
-    return bool(np.count_nonzero(A - np.diag(np.diagonal(A))) == 0)
+    # a nonzero stored off the diagonal makes the first count the larger one
+    stored = M.data if sp.issparse(M) else np.asarray(M)
+    return bool(np.count_nonzero(stored) == np.count_nonzero(M.diagonal()))
 
 
 def _start_vector(n):
@@ -70,137 +67,35 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def _extreme_ritz(alphas, betas):
-    """Extreme eigenpairs of the tridiagonal T; returns (lo, hi) tuples
-    of (value, |last component of eigenvector|)."""
-    k = len(alphas)
-    if k == 1:
-        return (alphas[0], 1.0), (alphas[0], 1.0)
-    lo_val, lo_vec = scipy.linalg.eigh_tridiagonal(
-        alphas, betas, select="i", select_range=(0, 0)
-    )
-    hi_val, hi_vec = scipy.linalg.eigh_tridiagonal(
-        alphas, betas, select="i", select_range=(k - 1, k - 1)
-    )
-    return (float(lo_val[0]), abs(float(lo_vec[-1, 0]))), (
-        float(hi_val[0]),
-        abs(float(hi_vec[-1, 0])),
-    )
-
-
-def _lanczos_extreme(op, n, tol, max_dim=LANCZOS_MAX_DIM, max_restarts=LANCZOS_MAX_RESTARTS):
-    """Largest |eigenvalue| of the symmetric operator ``op`` on R^n."""
-    max_dim = min(max_dim, n)
-    v = _start_vector(n)
-    total_iters = 0
-    best = (0.0, math.inf)  # (value, rel residual)
-    check_every = 5
-    for _restart in range(max_restarts):
-        Q = np.empty((n, max_dim))
-        alphas = np.empty(max_dim)
-        betas = np.empty(max(max_dim - 1, 1))
-        q = v
-        q_prev = None
-        beta_prev = 0.0
-        j = 0
-        while j < max_dim:
-            Q[:, j] = q
-            w = op(q)
-            alpha = float(q @ w)
-            alphas[j] = alpha
-            w = w - alpha * q
-            if j > 0:
-                w = w - beta_prev * q_prev
-            Qj = Q[:, : j + 1]
-            w -= Qj @ (Qj.T @ w)
-            w -= Qj @ (Qj.T @ w)
-            beta = float(np.linalg.norm(w))
-            total_iters += 1
-            scale = max(np.abs(alphas[: j + 1]).max(), beta_prev, beta)
-            breakdown = beta <= 1e-13 * max(scale, 1e-300)
-            last = j == max_dim - 1
-            if j % check_every == 0 or breakdown or last:
-                (lo, s_lo), (hi, s_hi) = _extreme_ritz(alphas[: j + 1], betas[:j])
-                value = max(abs(lo), abs(hi))
-                if value == 0.0:
-                    if breakdown:
-                        return 0.0, total_iters, 0.0
-                else:
-                    rel = beta * max(s_lo, s_hi) / value
-                    if rel < best[1]:
-                        best = (value, rel)
-                    if rel <= tol or breakdown:
-                        return value, total_iters, rel
-            if last or beta <= 1e-13 * max(scale, 1e-300):
-                break
-            betas[j] = beta
-            q_prev = q
-            q = w / beta
-            beta_prev = beta
-            j += 1
-        # restart from the two extreme Ritz vectors to keep both ends warm
-        k = j + 1 if j < max_dim else max_dim
-        if k < 2:
-            v = _start_vector(n)
-            continue
-        vals, vecs = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[: k - 1])
-        y = Q[:, :k] @ (vecs[:, 0] + vecs[:, -1])
-        nrm = np.linalg.norm(y)
-        v = y / nrm if nrm > 0 else _start_vector(n)
-    raise NonConvergenceError(
-        f"Lanczos did not reach tol={tol:g} within "
-        f"{max_restarts} restarts (best rel residual {best[1]:.3g})",
-        best=NormResult(best[0], "lanczos", total_iters, best[1]),
-    )
-
-
-def _power_extreme(op, n, tol, max_iters=20000):
-    """Power iteration on the squared operator (immune to sign flips)."""
-    v = _start_vector(n)
-    theta2 = 0.0
-    for it in range(1, max_iters + 1):
-        w = op(op(v))
-        theta2 = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0, it, 0.0
-        resid = float(np.linalg.norm(w - theta2 * v))
-        if theta2 > 0 and resid <= tol * theta2:
-            return math.sqrt(max(theta2, 0.0)), it, resid / theta2
-        v = w / nw
-    best = math.sqrt(max(theta2, 0.0))
-    raise NonConvergenceError(
-        f"power iteration did not reach tol={tol:g} in {max_iters} iterations",
-        best=NormResult(best, "power", max_iters, math.nan),
-    )
-
-
 def spectral_norm(M, tol=1e-6, method=None):
     """Spectral norm (largest singular value) of a real matrix.
 
     Symmetric inputs use the largest |eigenvalue|; rectangular ones go
-    through the symmetric dilation.  ``method`` forces one of
-    {dense_eig, lanczos, power}; the default picks dense below
-    n = 2048 and Lanczos above.
+    through the symmetric dilation.  ``method`` forces ``dense_eig`` or
+    ``lanczos``; the default sends dense arrays up to n = 2048 to LAPACK
+    and everything else to ARPACK.  ``iterations`` is the ARPACK matvec
+    count and ``rel_error_bound`` the true residual ||Xv - lambda v|| / |lambda|.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
     if not _is_finite(M):
         raise DataError("matrix contains NaN or Inf entries")
     n, m = M.shape
-    if method is not None and method not in ("dense_eig", "lanczos", "power"):
+    if method is not None and method not in ("dense_eig", "lanczos"):
         raise ParameterError(f"unknown method {method!r}")
     if _max_abs(M) == 0.0:
         return NormResult(0.0, method or "dense_eig", 0, 0.0)
     symmetric = _is_symmetric(M)
+    dim = n if symmetric else n + m
     if method is None:
         if n == m and _is_diagonal(M):
             # exact: the spectrum of a diagonal matrix is its diagonal
             value = float(np.abs(M.diagonal()).max())
             return NormResult(value, "dense_eig", 0, 0.0)
-        method = "dense_eig" if max(n, m) <= DENSE_THRESHOLD else "lanczos"
+        small_dense = not sp.issparse(M) and max(n, m) <= DENSE_THRESHOLD
+        method = "dense_eig" if small_dense else "lanczos"
 
-    if method == "dense_eig":
+    if method == "dense_eig" or dim <= 2:  # too small for eigsh(k=1)
         A = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
         if symmetric:
             w = np.linalg.eigvalsh(A)
@@ -209,28 +104,38 @@ def spectral_norm(M, tol=1e-6, method=None):
             value = float(np.linalg.svd(A, compute_uv=False)[0])
         return NormResult(value, "dense_eig", 0, np.finfo(float).eps * max(n, m))
 
+    # imported on first use: runs that only solve dense matrices skip its
+    # import time and memory
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    X = M if sp.issparse(M) else np.asarray(M, dtype=float)
     if symmetric:
-        if sp.issparse(M):
-            op = M.__matmul__
-        else:
-            A = np.asarray(M, dtype=float)
-            op = A.__matmul__
-        dim = n
+        matvec = X.__matmul__
     else:
         # dilation [[0, X], [X^T, 0]]: norm equals the top singular value
-        X = M
+        def matvec(z):
+            return np.concatenate([X @ z[n:], X.T @ z[:n]])
 
-        def op(z):
-            x, y = z[:n], z[n:]
-            return np.concatenate([X @ y, X.T @ x])
+    calls = 0
 
-        dim = n + m
+    def counted(z):
+        nonlocal calls
+        calls += 1
+        return matvec(z)
 
-    if method == "lanczos":
-        value, iters, rel = _lanczos_extreme(op, dim, tol)
-        return NormResult(value, "lanczos", iters, rel)
-    value, iters, rel = _power_extreme(op, dim, tol)
-    return NormResult(value, "power", iters, rel)
+    op = LinearOperator((dim, dim), matvec=counted, dtype=float)
+    try:
+        w, v = eigsh(op, k=1, which="LM", tol=tol, v0=_start_vector(dim))
+    except ArpackNoConvergence as exc:
+        best = None
+        if len(exc.eigenvalues):
+            best = NormResult(float(np.abs(exc.eigenvalues).max()), "lanczos", calls, math.nan)
+        raise NonConvergenceError(
+            f"ARPACK did not reach tol={tol:g} after {calls} matvecs", best=best
+        ) from exc
+    lam, v = float(w[0]), v[:, 0]
+    rel = float(np.linalg.norm(matvec(v) - lam * v)) / abs(lam)
+    return NormResult(abs(lam), "lanczos", calls, rel)
 
 
 def max_row_norm(M):

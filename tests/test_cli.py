@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from specbound import cli
+from specbound import bounds, cli
 from specbound.cli import RunManifest, main, parse_pattern, validate
 from specbound.errors import ParameterError
 
@@ -183,16 +187,61 @@ def test_cli_report_ok(capsys):
     assert payload["column_ratio_diagnostic"] > 0
 
 
-def test_cli_report_guarantee_failure_exit_code(capsys):
-    # the constant-1 structural lower value sigma + E max exceeds E||X|| on
-    # diagonal patterns (there E||X|| IS the max term), so the report flags
-    # it and the process signals a guarantee failure
+@pytest.mark.parametrize("distribution", ["gaussian", "rademacher"])
+def test_cli_report_diagonal_has_no_false_alarm(capsys, distribution):
+    # the constant-1 structural value sigma + E max exceeds E||X|| on
+    # diagonal patterns; it is reported as a diagnostic, and the flag uses
+    # the explicit lower bound, which equals E||X|| here for Gaussians
+    code, out, _ = run_cli(
+        capsys, "report", "--pattern", "diagonal:64", "--trials", "40", "--seed", "2",
+        "--distribution", distribution,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and not payload["failures"]
+    assert payload["structural_lower_diagnostic"] > payload["mc_norm_mean"]
+
+
+def test_cli_report_guarantee_failure_exit_code(capsys, monkeypatch):
+    # an explicit upper bound below the MC mean is a genuine failure
+    real = bounds.bound_main
+    monkeypatch.setattr(bounds, "bound_main", lambda C, eps: dataclasses.replace(real(C, eps), value=0.5))
     code, out, err = run_cli(
-        capsys, "report", "--pattern", "diagonal:64", "--trials", "40", "--seed", "2"
+        capsys, "report", "--pattern", "wigner:32", "--trials", "10", "--seed", "2"
     )
     assert code == 2
     payload = json.loads(out)
     assert payload["ok"] is False and payload["failures"]
+    assert json.loads(err)["error"] == "GuaranteeError"
+
+
+@pytest.mark.parametrize("partial, best", [([-2.5], 2.5), ([0.0], 0.0), ([], None)])
+def test_cli_nonconvergence_exit_code(capsys, monkeypatch, partial, best):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array(partial), np.zeros((400, len(partial))))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    code, out, err = run_cli(capsys, "norm", "--pattern", "band_cyclic:400,2", "--seed", "1")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "NonConvergenceError"
+    assert payload.get("best_estimate") == best
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_grid", "512,1024"), ("n_grid", [512.5]), ("t_grid", [0, "1"]), ("trials", "10"),
+     ("trials", 10.0), ("epsilon", "0.25"), ("seed", True), ("pattern", 5)],
+)
+def test_cli_manifest_value_types(tmp_path, capsys, key, value):
+    manifest = tmp_path / "m.json"
+    data = {"command": "phase", "pattern": "band", "n_grid": [64], "k_rule": "const:3", "trials": 2}
+    manifest.write_text(json.dumps(dict(data, **{key: value})))
+    code, _, err = run_cli(capsys, "phase", "--manifest", str(manifest))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParameterError"
+    with pytest.raises(ParameterError):
+        RunManifest.from_dict(dict(data, **{key: value}))
 
 
 def test_cli_tails(tmp_path, capsys, monkeypatch):

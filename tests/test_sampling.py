@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specbound import coeffs, sampling
 from specbound.errors import ParameterError
@@ -33,6 +34,49 @@ def test_identical_seed_gives_bit_identical_matrices():
     assert np.array_equal(x, y)
     z = sample_matrix(d, GAUSSIAN, SeedSpec(99, 6))
     assert not np.array_equal(x, z)
+
+
+def _reference_symmetric_sample(C, dist, seed):
+    """Direct COO -> CSR construction: one variate per upper-triangle
+    nonzero in row-major order, mirrored below the diagonal."""
+    i, j, b = C.upper_triangle()
+    vals = b * sampling.draw_entries(dist, seed.generator(), b.shape[0])
+    off = i != j
+    rows = np.concatenate([i, j[off]])
+    cols = np.concatenate([j, i[off]])
+    data = np.concatenate([vals, vals[off]])
+    return sp.coo_array((data, (rows, cols)), shape=(C.rows, C.cols)).tocsr()
+
+
+def _sparse_file_pattern(tmp_path):
+    path = tmp_path / "pattern.csv"
+    path.write_text("0,0,2.5\n0,7,-1.0\n3,3,0.0\n3,39,0.5\n12,20,1.0\n39,39,1.0\n")
+    return coeffs.load_sparse_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp: coeffs.band(300, 2),
+        lambda tmp: coeffs.band_cyclic(300, 3),
+        lambda tmp: coeffs.block_diagonal(200, 4),
+        lambda tmp: coeffs.diagonal(50),
+        lambda tmp: coeffs.single_entry(30),
+        _sparse_file_pattern,
+    ],
+    ids=["band", "band_cyclic", "block_diagonal", "diagonal", "single_entry", "sparse_csv"],
+)
+def test_sparse_symmetric_sample_matches_reference(build, tmp_path):
+    C = build(tmp_path)
+    assert C.is_sparse and C.kind == "symmetric"
+    for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
+        for dist in (GAUSSIAN, RADEMACHER):
+            X = sample_matrix(C, dist, seed)
+            ref = _reference_symmetric_sample(C, dist, seed)
+            for attr in ("data", "indices", "indptr"):
+                got, want = getattr(X, attr), getattr(ref, attr)
+                assert got.dtype == want.dtype and np.array_equal(got, want), attr
+            assert X.shape == ref.shape
 
 
 def test_band_sample_preserves_zero_pattern():

@@ -46,11 +46,35 @@ def test_lanczos_matches_arpack_on_large_sparse():
     assert mine.value == pytest.approx(oracle, rel=1e-6)
 
 
-def test_power_method_agrees():
-    a = _rand_sym(30, 1)
-    dense = spectral_norm(a).value
-    pw = spectral_norm(a, tol=1e-10, method="power")
-    assert pw.value == pytest.approx(dense, rel=1e-6)
+def test_power_method_is_rejected():
+    with pytest.raises(ParameterError):
+        spectral_norm(_rand_sym(30, 1), method="power")
+
+
+def _rand_sparse(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, m)) * (rng.uniform(size=(n, m)) < 0.5)
+    a[0, -1] = 1.5  # never all zero; off the diagonal unless m == 1
+    return a
+
+
+@pytest.mark.parametrize(
+    "shape, symmetric",
+    [((1, 1), True), ((2, 2), True), ((3, 3), True), ((40, 40), True),
+     ((1, 7), False), ((7, 1), False), ((3, 3), False), ((40, 40), False)],
+)
+def test_sparse_norm_matches_numpy(shape, symmetric):
+    # sparse input never reaches LAPACK unless its operator is too small
+    # for ARPACK (dim <= 2)
+    a = _rand_sparse(*shape, seed=sum(shape))
+    if symmetric:
+        a = a + a.T
+    r = spectral_norm(sp.csr_array(a), tol=1e-10)
+    dim = shape[0] if symmetric else shape[0] + shape[1]
+    assert r.method == ("dense_eig" if dim <= 2 else "lanczos")
+    assert r.value == pytest.approx(np.linalg.norm(a, 2), rel=1e-8)
+    if r.method == "lanczos":
+        assert r.iterations > 0 and r.rel_error_bound <= 1e-8
 
 
 def test_norm_invariances():
