@@ -206,7 +206,7 @@ def validate(m):
 
 
 def _threads(m):
-    return os.cpu_count() or 1 if m.threads == 0 else m.threads
+    return exp_mod.available_cores() if m.threads == 0 else m.threads
 
 
 def _cmd_bounds(m):

@@ -4,13 +4,17 @@ tail empirics, the semicircle sanity check, and the block-diagonal example.
 Trials are embarrassingly parallel.  Each trial owns a generator derived
 from (master_seed, trial_index), per-trial values are stored by index, and
 all reductions run over the stored array, so results are identical at any
-thread count.
+thread count.  The pool is capped at the cores this process may run on.
+Dense LAPACK solves keep the process's BLAS thread count in the pool too:
+their last digits depend on it, so pinning BLAS only in the pool would make
+``--threads 1`` and ``--threads 8`` disagree.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -32,15 +36,21 @@ K_RULE_NAMES = ("const", "c_log", "log_sq", "sqrt")
 DEFAULT_NORM_TOL = 1e-4  # MC experiments relax the solver tolerance to 1e-4
 
 
+def available_cores():
+    """Number of CPUs this process may run on (its affinity mask, where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_trials(fn, trials, threads):
     """Evaluate fn(t) for t = 0..trials-1, results ordered by trial index."""
-    if threads is None or threads <= 1:
+    workers = min(threads or 1, available_cores())
+    if workers <= 1:
         return [fn(t) for t in range(trials)]
-    out = [None] * trials
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for t, val in zip(range(trials), pool.map(fn, range(trials))):
-            out[t] = val
-    return out
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(trials)))
 
 
 def estimate_expected_norm(C, dist, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
@@ -89,8 +99,13 @@ def resolve_k_rule(rule, n):
     if isinstance(rule, (tuple, list)):
         name, param = rule[0], (rule[1] if len(rule) > 1 else None)
     else:
-        name, _, param = str(rule).partition(":")
-        param = float(param) if param else None
+        name, _, text = str(rule).partition(":")
+        try:
+            param = float(text) if text else None
+        except ValueError:
+            raise ParameterError(f"k rule {rule!r}: {text!r} is not a number") from None
+        if param is not None and not math.isfinite(param):
+            raise ParameterError(f"k rule {rule!r}: the value must be finite")
     if name not in K_RULE_NAMES:
         raise ParameterError(f"unknown k rule {name!r}; expected one of {K_RULE_NAMES}")
     if name == "const":
@@ -170,15 +185,9 @@ def phase_scan(
             X = sample_matrix(C, dist, SeedSpec(seed, cell * trials + t))
             return spectral_norm(X, tol=tol).value / root_k
 
-        ratios = np.asarray(_run_trials(one, trials, threads))
+        est = NormEstimate.from_values(_run_trials(one, trials, threads), seed)
         result.rows.append(
-            {
-                "n": int(n),
-                "k": degree,
-                "ratio_mean": float(ratios.mean()),
-                "ratio_stderr": float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0,
-                "k_rule": label,
-            }
+            {"n": int(n), "k": degree, "ratio_mean": est.mean, "ratio_stderr": est.std_error, "k_rule": label}
         )
     return result
 
@@ -294,15 +303,15 @@ def seginer_block_experiment(n_grid, dist, trials, seed, threads=1, tol=DEFAULT_
                 val = spectral_norm(X, tol=tol).value
             return val
 
-        norms = np.asarray(_run_trials(one, trials, threads))
+        est = NormEstimate.from_values(_run_trials(one, trials, threads), seed)
         denom = math.sqrt(math.log(n))
         rows.append(
             {
                 "n_requested": int(n_req),
                 "n": int(n),
                 "k": int(k),
-                "ratio_mean": float(norms.mean() / denom),
-                "ratio_stderr": float(norms.std(ddof=1) / math.sqrt(trials) / denom) if trials > 1 else 0.0,
+                "ratio_mean": est.mean / denom,
+                "ratio_stderr": est.std_error / denom,
             }
         )
     return rows

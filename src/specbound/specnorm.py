@@ -8,14 +8,19 @@ max(|lambda_min|, |lambda_max|), from a fixed start vector.  Only operators
 too small for ARPACK (dim <= 2) are densified.  Rectangular inputs are
 handled through the symmetric dilation [[0, X], [X^T, 0]], whose norm
 equals the largest singular value.
+
+An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
+basis gains nothing from a second OpenBLAS thread, which mostly spins.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from .errors import DataError, NonConvergenceError, ParameterError, SizeError
@@ -24,6 +29,75 @@ DENSE_THRESHOLD = 2048      # dense arrays switch from LAPACK to ARPACK above th
 EIG_DENSE_THRESHOLD = 4096  # full-spectrum cap for eigenvalues_all
 
 _START_SEED = 0x5BEC7B0  # fixed start vector; keeps runs bit-reproducible
+
+# (package, library glob beside it, get symbol, set symbol) of the OpenBLAS
+# builds that the numpy and scipy wheels bundle
+_OPENBLAS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so",
+     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+def _openblas_handles():
+    """(get, set) thread-count functions of each bundled OpenBLAS found."""
+    # imported on the first pin only: dense-only runs never look the libraries up
+    import ctypes
+    import glob
+    import os
+
+    handles = []
+    for package, pattern, get_name, set_name in _OPENBLAS:
+        libs = glob.glob(os.path.join(os.path.dirname(package.__file__), os.pardir, pattern))
+        if not libs:
+            continue
+        try:
+            lib = ctypes.CDLL(libs[0])
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        handles.append((get, set_))
+    return handles
+
+
+class _SingleBlasThread:
+    """Pins the bundled OpenBLAS pools to one thread while any user is inside.
+
+    Re-entrant and shared by threads: the outermost entry saves each
+    library's thread count and sets it to 1, the last exit restores it, so
+    a trial thread that finishes early never unpins its siblings.  The
+    libraries are looked up on first entry; one not found is left alone.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._handles = None
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                if self._handles is None:
+                    self._handles = _openblas_handles()
+                self._saved = [(set_, get()) for get, set_ in self._handles]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_, count in self._saved:
+                    set_(count)
+
+
+# BLAS thread counts are process-wide, so there is one pin per process
+_single_blas_thread = _SingleBlasThread()
 
 
 @dataclass
@@ -104,10 +178,18 @@ def spectral_norm(M, tol=1e-6, method=None):
             value = float(np.linalg.svd(A, compute_uv=False)[0])
         return NormResult(value, "dense_eig", 0, np.finfo(float).eps * max(n, m))
 
+    with _single_blas_thread:
+        return _arpack_norm(M, symmetric, tol)
+
+
+def _arpack_norm(M, symmetric, tol):
+    """Largest |eigenvalue| of M (of its dilation if not symmetric) by eigsh."""
     # imported on first use: runs that only solve dense matrices skip its
     # import time and memory
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+    n, m = M.shape
+    dim = n if symmetric else n + m
     X = M if sp.issparse(M) else np.asarray(M, dtype=float)
     if symmetric:
         matvec = X.__matmul__

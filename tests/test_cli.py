@@ -244,6 +244,13 @@ def test_cli_manifest_value_types(tmp_path, capsys, key, value):
         RunManifest.from_dict(dict(data, **{key: value}))
 
 
+@pytest.mark.parametrize("rule", ["const:x", "c_log:abc"])
+def test_cli_malformed_k_rule(capsys, rule):
+    code, out, err = run_cli(capsys, "phase", "--pattern", "band", "--n", "64", "--k-rule", rule, "--trials", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
 def test_cli_tails(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, _, _ = run_cli(

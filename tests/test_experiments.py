@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,13 +18,15 @@ def test_estimate_zero_matrix():
 
 
 def test_estimate_deterministic_and_thread_invariant():
-    C = coeffs.wigner(24)
-    a = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=5, threads=1)
-    b = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=5, threads=4)
-    assert a.mean == b.mean
-    assert np.array_equal(a.per_trial_values, b.per_trial_values)
-    c = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=6)
-    assert c.mean != a.mean
+    # n = 256 is large enough for OpenBLAS to split eigvalsh over its threads
+    for n in (24, 256):
+        C = coeffs.wigner(n)
+        a = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=5, threads=1)
+        b = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=5, threads=4)
+        assert a.mean == b.mean
+        assert np.array_equal(a.per_trial_values, b.per_trial_values)
+        c = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=6)
+        assert c.mean != a.mean
 
 
 def test_estimate_wigner_scale():
@@ -49,6 +54,21 @@ def test_resolve_k_rule():
         experiments.resolve_k_rule("cubed", 100)
     with pytest.raises(ParameterError):
         experiments.resolve_k_rule("const", 100)
+    for bad in ("const:x", "c_log:abc", "const:inf", "c_log:nan"):
+        with pytest.raises(ParameterError):
+            experiments.resolve_k_rule(bad, 100)
+
+
+def test_run_trials_capped_at_available_cores():
+    workers = set()
+
+    def one(t):
+        workers.add(threading.get_ident())
+        time.sleep(0.002)  # keep workers busy so the pool would grow past the cap
+        return t
+
+    assert experiments._run_trials(one, 64, threads=64) == list(range(64))
+    assert 1 <= len(workers) <= len(os.sched_getaffinity(0))
 
 
 def test_regular_random_pattern():

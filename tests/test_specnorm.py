@@ -1,9 +1,14 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from specbound import coeffs, sampling
-from specbound.errors import DataError, ParameterError, SizeError
+from specbound import coeffs, experiments, sampling, specnorm
+from specbound.errors import DataError, NonConvergenceError, ParameterError, SizeError
 from specbound.specnorm import eigenvalues_all, max_row_norm, spectral_norm
 
 
@@ -157,3 +162,91 @@ def test_zero_matrix():
 def test_sparse_identity_is_exactly_one():
     X = sp.eye_array(3000, format="csr")
     assert spectral_norm(X).value == 1.0
+
+
+@pytest.fixture
+def blas_two_threads():
+    """Bundled OpenBLAS handles, set to two threads; prior counts restored after."""
+    handles = specnorm._openblas_handles()
+    if not handles:
+        pytest.skip("no bundled OpenBLAS library found")
+    prior = [get() for get, _ in handles]
+    for _, set_ in handles:
+        set_(2)
+    yield handles
+    for (_, set_), count in zip(handles, prior):
+        set_(count)
+
+
+def _counts(handles):
+    return [get() for get, _ in handles]
+
+
+def _band_sample(n=400):
+    return sampling.sample_matrix(coeffs.band_cyclic(n, 2), sampling.GAUSSIAN, sampling.SeedSpec(1, 0))
+
+
+def test_arpack_solve_runs_on_one_blas_thread(blas_two_threads, monkeypatch):
+    real_eigsh = scipy.sparse.linalg.eigsh
+    seen = []
+
+    def watched(*args, **kwargs):
+        seen.append(_counts(blas_two_threads))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", watched)
+    assert spectral_norm(_band_sample()).method == "lanczos"
+    assert seen == [[1] * len(blas_two_threads)]
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_blas_pin_restored_after_nonconvergence(blas_two_threads, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]), np.zeros((400, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NonConvergenceError):
+        spectral_norm(_band_sample())
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_blas_pin_nests(blas_two_threads):
+    ones = [1] * len(blas_two_threads)
+    with specnorm._single_blas_thread:
+        with specnorm._single_blas_thread:
+            assert _counts(blas_two_threads) == ones
+        spectral_norm(_band_sample())
+        assert _counts(blas_two_threads) == ones  # inner exits never unpin
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_blas_pin_shared_by_threads(blas_two_threads):
+    # more threads than cores, switching often: an early restore by one
+    # thread would show up as a count of 2 inside another thread's pin
+    ones = [1] * len(blas_two_threads)
+    bad = []
+
+    def worker():
+        for _ in range(200):
+            with specnorm._single_blas_thread:
+                if _counts(blas_two_threads) != ones:
+                    bad.append(_counts(blas_two_threads))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_blas_pin_restored_after_threaded_phase_scan(blas_two_threads):
+    experiments.phase_scan("band", [256], "const:3", sampling.GAUSSIAN, trials=8, seed=2, threads=4)
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
