@@ -251,11 +251,7 @@ def _cmd_sample(m):
 
 def _cmd_norm(m):
     C = _load_matrix(m)
-    if m.distribution:
-        dist = distribution_from_code(m.distribution)
-        X = sample_matrix(C, dist, SeedSpec(m.seed, 0))
-    else:
-        X = C.data
+    X = sample_matrix(C, distribution_from_code(m.distribution), SeedSpec(m.seed, 0))
     res = spectral_norm(X, tol=m.tol)
     print(
         json.dumps(

@@ -56,6 +56,13 @@ class CoefficientMatrix:
             data = entries.tocsr()
             data.sum_duplicates()
             data.sort_indices()
+            if max(data.nnz, *data.shape) < 2**31:
+                # half the index bytes of int64, and samples, plans and
+                # transposes inherit the width
+                data = type(data)(
+                    (data.data, data.indices.astype(np.int32), data.indptr.astype(np.int32)),
+                    shape=data.shape,
+                )
             values = data.data
         else:
             data = np.asarray(entries, dtype=float)
@@ -148,8 +155,12 @@ class CoefficientMatrix:
 
 def _pack(rows, cols, vals, n, m, kind):
     """Store triples as CSR below the fill threshold, dense otherwise."""
-    nnz = len(vals)
-    mat = sp.coo_array((vals, (rows, cols)), shape=(n, m)).tocsr()
+    return _store(sp.coo_array((vals, (rows, cols)), shape=(n, m)).tocsr(), len(vals), kind)
+
+
+def _store(mat, nnz, kind):
+    """Keep a CSR pattern of ``nnz`` entries sparse below the fill threshold."""
+    n, m = mat.shape
     if nnz < SPARSE_FILL_THRESHOLD * n * m:
         return CoefficientMatrix(mat, kind)
     return CoefficientMatrix(mat.toarray(), kind)
@@ -203,18 +214,12 @@ def band_cyclic(n, k):
     n = _check_dim(n)
     if not 0 <= k < n or 2 * int(k) + 1 > n:
         raise ParameterError(f"band_cyclic requires 0 <= 2k+1 <= n, got k={k}, n={n}")
-    rows, cols = [], []
-    idx = np.arange(n)
-    for d in range(0, int(k) + 1):
-        j = (idx + d) % n
-        rows.append(idx)
-        cols.append(j)
-        if d > 0:
-            rows.append(j)
-            cols.append(idx)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    return _pack(r, c, np.ones(len(r)), n, n, "symmetric")
+    k = int(k)
+    w = 2 * k + 1
+    # row i holds columns i-k .. i+k mod n, distinct since w <= n
+    cols = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)) % n, axis=1)
+    mat = sp.csr_array((np.ones(n * w), cols.ravel(), np.arange(0, n * w + 1, w)), shape=(n, n))
+    return _store(mat, n * w, "symmetric")
 
 
 def block_diagonal(n, k):

@@ -53,14 +53,21 @@ def _run_trials(fn, trials, threads):
         return list(pool.map(fn, range(trials)))
 
 
+def _sampled_symmetric(C):
+    """The ``symmetric`` hint for samples of C: True for a symmetric
+    pattern, whose samples mirror every draw exactly; None (check) otherwise."""
+    return True if C.kind == "symmetric" else None
+
+
 def estimate_expected_norm(C, dist, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
     """Monte Carlo estimate of E||X|| over independent trials."""
     if trials < 2:
         raise ParameterError("trials must be >= 2 for a standard error")
+    symmetric = _sampled_symmetric(C)
 
     def one(t):
         X = sample_matrix(C, dist, SeedSpec(seed, t))
-        return spectral_norm(X, tol=tol).value
+        return spectral_norm(X, tol=tol, symmetric=symmetric).value
 
     try:
         values = _run_trials(one, trials, threads)
@@ -112,6 +119,8 @@ def resolve_k_rule(rule, n):
         if param is None:
             raise ParameterError("const rule needs a value, e.g. const:3")
         k = int(param)
+        if k < 1:
+            raise ParameterError(f"k rule {rule!r} gives k={k}; k must be >= 1")
     elif name == "c_log":
         if param is None:
             raise ParameterError("c_log rule needs a coefficient, e.g. c_log:1.5")
@@ -183,7 +192,7 @@ def phase_scan(
 
         def one(t, C=C, root_k=root_k, cell=cell):
             X = sample_matrix(C, dist, SeedSpec(seed, cell * trials + t))
-            return spectral_norm(X, tol=tol).value / root_k
+            return spectral_norm(X, tol=tol, symmetric=True).value / root_k
 
         est = NormEstimate.from_values(_run_trials(one, trials, threads), seed)
         result.rows.append(
@@ -203,10 +212,11 @@ def tail_empirics(C, dist, epsilon, trials, t_grid, seed, tol=DEFAULT_NORM_TOL, 
     if trials < 1000:
         raise ParameterError("tails need trials >= 1000 to be meaningful")
     shape = "symmetric" if C.kind == "symmetric" else "rectangular"
+    symmetric = _sampled_symmetric(C)
 
     def one(t):
         X = sample_matrix(C, dist, SeedSpec(seed, t))
-        return spectral_norm(X, tol=tol).value
+        return spectral_norm(X, tol=tol, symmetric=symmetric).value
 
     norms = np.asarray(_run_trials(one, trials, threads))
     params = coeffs_mod.structural_params(C)
@@ -329,10 +339,11 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
     max-column-norm ratio, which corresponds to an open conjecture.  Both
     lower values come from one set of max-entry draws.
     """
+    symmetric = _sampled_symmetric(C)
 
     def one(t):
         X = sample_matrix(C, dist, SeedSpec(seed, t))
-        return spectral_norm(X, tol=tol).value, max_row_norm(X)
+        return spectral_norm(X, tol=tol, symmetric=symmetric).value, max_row_norm(X)
 
     pairs = _run_trials(one, trials, threads)
     norms = np.asarray([p[0] for p in pairs])

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coeffs import structural_params
 from .errors import ParameterError, SizeError
-from .sampling import GAUSSIAN, distribution_moment
+from .sampling import GAUSSIAN, _double_factorial, distribution_moment
 
 MAX_HALF_LENGTH = 6          # enumeration guard: p <= 6
 BRUTE_FORCE_GUARD = 10**8    # guard on n^(2p) for the exact tuple sum
@@ -37,12 +37,7 @@ def gaussian_moment(i):
         raise ParameterError("moment order must be >= 0")
     if i % 2 == 1:
         return 0
-    out = 1
-    k = i - 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return _double_factorial(i - 1)
 
 
 def _edge(a, b):

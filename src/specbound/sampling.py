@@ -171,6 +171,16 @@ def distribution_moment(dist, order):
     raise ParameterError("moments of a custom distribution are not known exactly")
 
 
+def _slots(indptr, indices):
+    """Row of each CSR slot, and the slot order of the transpose.
+
+    A stable argsort by column lists the slots in (column, row) order, which
+    is the row-major slot order of the transpose.
+    """
+    rows = np.repeat(np.arange(indptr.shape[0] - 1, dtype=indices.dtype), np.diff(indptr))
+    return rows, np.argsort(indices, kind="stable")
+
+
 def _symmetric_sparse_plan(C):
     """(b, indptr, indices, gather) for sampling a symmetric sparse pattern.
 
@@ -182,15 +192,26 @@ def _symmetric_sparse_plan(C):
     with _PLAN_LOCK:
         plan = getattr(C, "_sampling_plan", None)
         if plan is None:
-            i, j, b = C.upper_triangle()
-            off = i != j
-            rows = np.concatenate([i, j[off]])
-            cols = np.concatenate([j, i[off]])
-            source = np.concatenate([np.arange(b.shape[0]), np.flatnonzero(off)])
-            # the same COO -> CSR conversion as a direct build, so the
-            # structure (and index dtype) matches it exactly
-            S = sp.coo_array((source, (rows, cols)), shape=(C.rows, C.cols)).tocsr()
-            plan = C._sampling_plan = (b, S.indptr, S.indices, S.data)
+            A = C.data
+            indptr, indices = A.indptr, A.indices
+            rows, perm = _slots(indptr, indices)
+            upper = indices >= rows
+            b = A.data[upper]
+            if not (np.array_equal(indices[perm], rows) and np.array_equal(rows[perm], indices)):
+                # an explicit zero stored on one side only: X mirrors the
+                # upper triangle, so rebuild the structure from it
+                i, j = rows[upper], indices[upper]
+                off = i != j
+                r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+                S = sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
+                indptr, indices = S.indptr, S.indices
+                rows, perm = _slots(indptr, indices)
+                upper = indices >= rows
+            # a lower slot takes the variate of its mirror, the upper slot
+            # perm names; rank stays intp, which numpy gathers twice as fast
+            rank = np.cumsum(upper) - 1
+            gather = np.where(upper, rank, rank[perm])
+            plan = C._sampling_plan = (b, indptr, indices, gather)
     return plan
 
 

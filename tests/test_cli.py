@@ -244,7 +244,7 @@ def test_cli_manifest_value_types(tmp_path, capsys, key, value):
         RunManifest.from_dict(dict(data, **{key: value}))
 
 
-@pytest.mark.parametrize("rule", ["const:x", "c_log:abc"])
+@pytest.mark.parametrize("rule", ["const:x", "c_log:abc", "const:0"])
 def test_cli_malformed_k_rule(capsys, rule):
     code, out, err = run_cli(capsys, "phase", "--pattern", "band", "--n", "64", "--k-rule", rule, "--trials", "2")
     assert code == 1 and out == ""

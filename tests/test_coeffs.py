@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specbound import coeffs
 from specbound.errors import DataError, ParameterError
@@ -55,6 +56,35 @@ def test_band_cyclic_exact_degree():
     C = coeffs.band_cyclic(50, 3)
     counts = np.count_nonzero(C.toarray(), axis=1)
     assert np.all(counts == 7)
+
+
+def _band_cyclic_coo(n, k):
+    """Wrap-around band as a COO -> CSR conversion of its 2k + 1 diagonals."""
+    idx = np.arange(n)
+    rows, cols = [idx], [idx]
+    for d in range(1, k + 1):
+        j = (idx + d) % n
+        rows += [idx, j]
+        cols += [j, idx]
+    r, c = np.concatenate(rows), np.concatenate(cols)
+    return sp.coo_array((np.ones(r.size), (r, c)), shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    # 2k + 1 = n at (1, 0), (5, 2), (7, 3); (1000, 24) sits just below the
+    # 5% fill switch and (1000, 25) just above it
+    [(1, 0), (5, 2), (7, 3), (64, 0), (64, 1), (300, 3), (301, 150), (1000, 24), (1000, 25)],
+)
+def test_band_cyclic_matches_coo_construction(n, k):
+    C = coeffs.band_cyclic(n, k)
+    ref = _band_cyclic_coo(n, k)
+    assert C.is_sparse == (ref.nnz < coeffs.SPARSE_FILL_THRESHOLD * n * n)
+    if C.is_sparse:
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(C.data, attr), getattr(ref, attr)), attr
+    else:
+        assert np.array_equal(C.toarray(), ref.toarray())
 
 
 @pytest.mark.parametrize(

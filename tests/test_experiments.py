@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from specbound import coeffs, experiments
+from specbound import coeffs, experiments, specnorm
 from specbound.errors import ParameterError
 from specbound.sampling import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
 
@@ -54,7 +54,7 @@ def test_resolve_k_rule():
         experiments.resolve_k_rule("cubed", 100)
     with pytest.raises(ParameterError):
         experiments.resolve_k_rule("const", 100)
-    for bad in ("const:x", "c_log:abc", "const:inf", "c_log:nan"):
+    for bad in ("const:x", "c_log:abc", "const:inf", "c_log:nan", "const:0", "const:-2", "const:0.5"):
         with pytest.raises(ParameterError):
             experiments.resolve_k_rule(bad, 100)
 
@@ -101,6 +101,24 @@ def test_phase_scan_regular_random():
         "regular_random", [64], "const:4", GAUSSIAN, trials=5, seed=2
     )
     assert grid.rows[0]["k"] == 4
+
+
+def test_symmetric_trials_skip_the_symmetry_check(monkeypatch):
+    # samples of a symmetric pattern mirror every draw, so trials trust it
+    def checked(M):
+        raise AssertionError("a trial checked the symmetry of its sample")
+
+    monkeypatch.setattr(specnorm, "_is_symmetric", checked)
+    experiments.phase_scan("band", [64, 1024], "const:5", GAUSSIAN, trials=3, seed=1)
+    experiments.phase_scan("regular_random", [64], "const:4", GAUSSIAN, trials=3, seed=2)
+    C = coeffs.band(64, 2)
+    experiments.estimate_expected_norm(C, GAUSSIAN, 3, seed=3)
+    experiments.bounds_vs_empirical_report(C, GAUSSIAN, 0.5, 3, seed=4)
+    experiments.tail_empirics(coeffs.wigner(3), GAUSSIAN, 0.5, 1000, [0.0], seed=5)
+    # samples of a rectangular pattern are still checked
+    with pytest.raises(AssertionError):
+        rect = coeffs.CoefficientMatrix(np.ones((3, 5)), "rectangular")
+        experiments.estimate_expected_norm(rect, GAUSSIAN, 2, seed=6)
 
 
 def test_phase_ratio_decreasing_in_k():

@@ -54,18 +54,27 @@ def _sparse_file_pattern(tmp_path):
     return coeffs.load_sparse_csv(str(path))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda tmp: coeffs.band(300, 2),
-        lambda tmp: coeffs.band_cyclic(300, 3),
-        lambda tmp: coeffs.block_diagonal(200, 4),
-        lambda tmp: coeffs.diagonal(50),
-        lambda tmp: coeffs.single_entry(30),
-        _sparse_file_pattern,
-    ],
-    ids=["band", "band_cyclic", "block_diagonal", "diagonal", "single_entry", "sparse_csv"],
-)
+def _one_sided_zero_pattern(i, j):
+    """6 x 6 symmetric pattern plus an explicit zero at (i, j) whose mirror is not stored."""
+    rows, cols, vals = [0, 1, 2, 0, 3, 5, i], [0, 1, 0, 2, 3, 5, j], [1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 0.0]
+    C = coeffs.CoefficientMatrix(sp.coo_array((vals, (rows, cols)), shape=(6, 6)).tocsr(), "symmetric")
+    assert C.data.nnz == 7
+    return C
+
+
+SPARSE_BUILDS = {
+    "band": lambda tmp: coeffs.band(300, 2),
+    "band_cyclic": lambda tmp: coeffs.band_cyclic(300, 3),
+    "block_diagonal": lambda tmp: coeffs.block_diagonal(200, 4),
+    "diagonal": lambda tmp: coeffs.diagonal(50),
+    "single_entry": lambda tmp: coeffs.single_entry(30),
+    "sparse_csv": _sparse_file_pattern,
+    "zero_above_diagonal": lambda tmp: _one_sided_zero_pattern(0, 4),
+    "zero_below_diagonal": lambda tmp: _one_sided_zero_pattern(4, 1),
+}
+
+
+@pytest.mark.parametrize("build", SPARSE_BUILDS.values(), ids=SPARSE_BUILDS.keys())
 def test_sparse_symmetric_sample_matches_reference(build, tmp_path):
     C = build(tmp_path)
     assert C.is_sparse and C.kind == "symmetric"
@@ -77,6 +86,19 @@ def test_sparse_symmetric_sample_matches_reference(build, tmp_path):
                 got, want = getattr(X, attr), getattr(ref, attr)
                 assert got.dtype == want.dtype and np.array_equal(got, want), attr
             assert X.shape == ref.shape
+
+
+@pytest.mark.parametrize(
+    "build",
+    [*SPARSE_BUILDS.values(), lambda tmp: coeffs.log_decay_diagonal(40)],
+    ids=[*SPARSE_BUILDS.keys(), "log_decay_diagonal"],
+)
+def test_sparse_patterns_and_samples_have_int32_indices(build, tmp_path):
+    C = build(tmp_path)
+    assert C.is_sparse
+    X = sample_matrix(C, GAUSSIAN, SeedSpec(5, 0))
+    for M in (C.data, X):
+        assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
 
 
 def test_band_sample_preserves_zero_pattern():

@@ -146,8 +146,11 @@ def test_eigenvalues_all_size_guard():
 
 
 def test_bad_inputs():
-    with pytest.raises(DataError):
-        spectral_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.array([[bad, 0.0], [0.0, 1.0]])
+        for M in (a, sp.csr_array(a)):
+            with pytest.raises(DataError):
+                spectral_norm(M)
     with pytest.raises(ParameterError):
         spectral_norm(np.eye(2), tol=0.0)
     with pytest.raises(ParameterError):
