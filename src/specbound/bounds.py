@@ -16,7 +16,7 @@ from typing import Optional
 from .coeffs import lp_entrywise_norm, structural_params
 from .errors import ParameterError, DataError
 from .sampling import NormEstimate, SeedSpec, STREAM_MAX_ENTRY
-from . import specnorm
+from . import sampling, specnorm
 
 EXPLICIT = "explicit"
 STRUCTURAL = "structural"
@@ -234,10 +234,7 @@ def _max_entry_maxima(C, trials, seed):
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    if C.kind == "symmetric":
-        _, _, b = C.upper_triangle()
-    else:
-        _, _, b = C.nonzero_entries()
+    b, _, _ = sampling._plan(C)  # the sampling contract order
     b = abs(b[b != 0])
     if b.size == 0:
         return []

@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, ParameterError
+from .specnorm import row_col_sumsq
 
 SPARSE_FILL_THRESHOLD = 0.05
 FILE_SYMMETRY_TOL = 1e-12
@@ -120,21 +121,6 @@ class CoefficientMatrix:
     def absolute(self):
         """|b_ij| as a plain matrix of the same storage kind."""
         return abs(self._data)
-
-    def upper_triangle(self):
-        """(i, j, b_ij) of the upper triangle (i <= j), row-major order.
-
-        Only defined for symmetric patterns; this fixed ordering is the
-        contract the sampling module draws against.
-        """
-        if self.kind != "symmetric":
-            raise ParameterError("upper_triangle is defined for symmetric patterns")
-        if self.is_sparse:
-            ut = sp.triu(self._data, k=0).tocoo()
-            order = np.lexsort((ut.col, ut.row))
-            return ut.row[order], ut.col[order], ut.data[order]
-        i, j = np.triu_indices(self.rows)
-        return i, j, np.asarray(self._data)[i, j]
 
     def nonzero_entries(self):
         """(i, j, b_ij) of all stored nonzeros in row-major order."""
@@ -289,22 +275,9 @@ def build_pattern(kind, params=()):
 # -- structural parameters --------------------------------------------------
 
 
-def _row_col_sumsq(C):
-    if C.is_sparse:
-        sq = C.data.multiply(C.data)
-        row = np.asarray(sq.sum(axis=1)).ravel()
-        col = np.asarray(sq.sum(axis=0)).ravel()
-    else:
-        a = np.asarray(C.data)
-        sq = a * a
-        row = sq.sum(axis=1)
-        col = sq.sum(axis=0)
-    return row, col
-
-
 def structural_params(C):
     """sigma, sigma_star, sigma1, sigma2 of a pattern."""
-    row, col = _row_col_sumsq(C)
+    row, col = row_col_sumsq(C.data)
     sigma1 = math.sqrt(row.max()) if row.size else 0.0
     sigma2 = math.sqrt(col.max()) if col.size else 0.0
     if C.is_sparse:

@@ -53,24 +53,26 @@ def _run_trials(fn, trials, threads):
         return list(pool.map(fn, range(trials)))
 
 
-def _sampled_symmetric(C):
-    """The ``symmetric`` hint for samples of C: True for a symmetric
-    pattern, whose samples mirror every draw exactly; None (check) otherwise."""
-    return True if C.kind == "symmetric" else None
+def _trial_norms(C, dist, seed, trials, tol, threads, first=0, row_norms=False):
+    """||X|| of the samples of trials first .. first + trials - 1, in order;
+    with ``row_norms``, (||X||, max_row_norm(X)) pairs instead."""
+    # samples of a symmetric pattern mirror every draw exactly: skip the check
+    symmetric = True if C.kind == "symmetric" else None
+
+    def one(t):
+        X = sample_matrix(C, dist, SeedSpec(seed, first + t))
+        value = spectral_norm(X, tol=tol, symmetric=symmetric).value
+        return (value, max_row_norm(X)) if row_norms else value
+
+    return _run_trials(one, trials, threads)
 
 
 def estimate_expected_norm(C, dist, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
     """Monte Carlo estimate of E||X|| over independent trials."""
     if trials < 2:
         raise ParameterError("trials must be >= 2 for a standard error")
-    symmetric = _sampled_symmetric(C)
-
-    def one(t):
-        X = sample_matrix(C, dist, SeedSpec(seed, t))
-        return spectral_norm(X, tol=tol, symmetric=symmetric).value
-
     try:
-        values = _run_trials(one, trials, threads)
+        values = _trial_norms(C, dist, seed, trials, tol, threads)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
             f"norm estimation aborted: {exc}", best=exc.best
@@ -95,10 +97,7 @@ def regular_random_pattern(n, k, seed):
     for a, b in g.edges():
         rows += [a, b]
         cols += [b, a]
-    mat = sp.coo_array((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    if k >= coeffs_mod.SPARSE_FILL_THRESHOLD * n:
-        mat = mat.toarray()
-    return coeffs_mod.CoefficientMatrix(mat, "symmetric")
+    return coeffs_mod._pack(rows, cols, np.ones(len(rows)), n, n, "symmetric")
 
 
 def resolve_k_rule(rule, n):
@@ -188,13 +187,8 @@ def phase_scan(
         else:
             C = regular_random_pattern(n, k, seed + cell)
         degree = _max_row_degree(C)
-        root_k = math.sqrt(degree)
-
-        def one(t, C=C, root_k=root_k, cell=cell):
-            X = sample_matrix(C, dist, SeedSpec(seed, cell * trials + t))
-            return spectral_norm(X, tol=tol, symmetric=True).value / root_k
-
-        est = NormEstimate.from_values(_run_trials(one, trials, threads), seed)
+        norms = _trial_norms(C, dist, seed, trials, tol, threads, first=cell * trials)
+        est = NormEstimate.from_values(np.asarray(norms) / math.sqrt(degree), seed)
         result.rows.append(
             {"n": int(n), "k": degree, "ratio_mean": est.mean, "ratio_stderr": est.std_error, "k_rule": label}
         )
@@ -212,13 +206,7 @@ def tail_empirics(C, dist, epsilon, trials, t_grid, seed, tol=DEFAULT_NORM_TOL, 
     if trials < 1000:
         raise ParameterError("tails need trials >= 1000 to be meaningful")
     shape = "symmetric" if C.kind == "symmetric" else "rectangular"
-    symmetric = _sampled_symmetric(C)
-
-    def one(t):
-        X = sample_matrix(C, dist, SeedSpec(seed, t))
-        return spectral_norm(X, tol=tol, symmetric=symmetric).value
-
-    norms = np.asarray(_run_trials(one, trials, threads))
+    norms = np.asarray(_trial_norms(C, dist, seed, trials, tol, threads))
     params = coeffs_mod.structural_params(C)
     bounded_sup = {"rademacher": 1.0, "bounded_uniform": math.sqrt(3.0)}.get(dist.family)
     rows = []
@@ -280,11 +268,8 @@ def spectral_density_check(C, dist, seed):
 def _block_norms(X, nblocks, k):
     """Spectral norm of a block-diagonal sample via batched small eigh."""
     if sp.issparse(X):
-        a = X.tocsr()
-        counts = np.diff(a.indptr)
-        if not np.all(counts == k):
-            return None
-        blocks = a.data.reshape(nblocks, k, k)
+        # a sample keeps the pattern's CSR: k sorted entries in every row
+        blocks = X.data.reshape(nblocks, k, k)
     else:
         arr = np.asarray(X)
         blocks = np.stack([arr[b * k : (b + 1) * k, b * k : (b + 1) * k] for b in range(nblocks)])
@@ -297,7 +282,7 @@ def seginer_block_experiment(n_grid, dist, trials, seed, threads=1, tol=DEFAULT_
 
     n is rounded to the nearest multiple of k.  The norm of each sample is
     the max over its diagonal blocks, computed by batched dense
-    eigendecompositions of the k x k blocks.
+    eigendecompositions of the k x k blocks, so ``tol`` goes unused.
     """
     rows = []
     for cell, n_req in enumerate(n_grid):
@@ -307,11 +292,7 @@ def seginer_block_experiment(n_grid, dist, trials, seed, threads=1, tol=DEFAULT_
         C = coeffs_mod.block_diagonal(n, k)
 
         def one(t, C=C, nblocks=nblocks, k=k, cell=cell):
-            X = sample_matrix(C, dist, SeedSpec(seed, cell * trials + t))
-            val = _block_norms(X, nblocks, k)
-            if val is None:
-                val = spectral_norm(X, tol=tol).value
-            return val
+            return _block_norms(sample_matrix(C, dist, SeedSpec(seed, cell * trials + t)), nblocks, k)
 
         est = NormEstimate.from_values(_run_trials(one, trials, threads), seed)
         denom = math.sqrt(math.log(n))
@@ -339,13 +320,7 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
     max-column-norm ratio, which corresponds to an open conjecture.  Both
     lower values come from one set of max-entry draws.
     """
-    symmetric = _sampled_symmetric(C)
-
-    def one(t):
-        X = sample_matrix(C, dist, SeedSpec(seed, t))
-        return spectral_norm(X, tol=tol, symmetric=symmetric).value, max_row_norm(X)
-
-    pairs = _run_trials(one, trials, threads)
+    pairs = _trial_norms(C, dist, seed, trials, tol, threads, row_norms=True)
     norms = np.asarray([p[0] for p in pairs])
     maxrows = np.asarray([p[1] for p in pairs])
     norm_est = NormEstimate.from_values(norms, seed)

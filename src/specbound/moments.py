@@ -232,16 +232,7 @@ def edge_multiplicities_of_bipartite(us, vs):
 
 def _moment_table(dist, max_order):
     """E[xi^i] for i = 0..max_order; exact ints for gaussian/rademacher."""
-    table = [0] * (max_order + 1)
-    table[0] = 1
-    for i in range(2, max_order + 1, 2):
-        if dist.family == "gaussian":
-            table[i] = gaussian_moment(i)
-        elif dist.family == "rademacher":
-            table[i] = 1
-        else:
-            table[i] = distribution_moment(dist, i)
-    return table
+    return [distribution_moment(dist, i) if i % 2 == 0 else 0 for i in range(max_order + 1)]
 
 
 def _integer_entries(C):
@@ -314,14 +305,6 @@ def trace_moment_bruteforce(C, p, dist):
     return total
 
 
-def _falling(x, k):
-    """x (x-1) ... (x-k+1), exact; zero once the factors cross zero."""
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
-
 def wigner_trace_moment(r, p):
     """E Tr[Y_r^(2p)] for the r x r all-Gaussian symmetric matrix, exact.
 
@@ -337,7 +320,7 @@ def wigner_trace_moment(r, p):
         weight = 1
         for mult, cnt in s.edge_multiplicities:
             weight *= gaussian_moment(mult) ** cnt
-        total += _falling(r, s.m) * weight
+        total += math.perm(r, s.m) * weight
     return total
 
 
@@ -356,7 +339,7 @@ def rect_trace_moment(r, rprime, p):
         weight = 1
         for mult, cnt in s.edge_multiplicities:
             weight *= gaussian_moment(mult) ** cnt
-        total += _falling(r, s.m2) * _falling(rprime, s.m1) * weight
+        total += math.perm(r, s.m2) * math.perm(rprime, s.m1) * weight
     return total
 
 

@@ -181,37 +181,64 @@ def _slots(indptr, indices):
     return rows, np.argsort(indices, kind="stable")
 
 
-def _symmetric_sparse_plan(C):
-    """(b, indptr, indices, gather) for sampling a symmetric sparse pattern.
+def _symmetric_sparse_plan(A):
+    """(b, gather, (indptr, indices)) for sampling a symmetric sparse pattern.
 
     b is the upper triangle in the row-major contract order; indptr and
     indices are the canonical CSR structure of the full mirrored X; gather
-    maps each CSR slot to the variate that fills it, so one trial's data is
-    (b * xi)[gather].  Compiled once and cached on the immutable pattern.
+    maps each CSR slot to the variate that fills it.
+    """
+    indptr, indices = A.indptr, A.indices
+    rows, perm = _slots(indptr, indices)
+    upper = indices >= rows
+    b = A.data[upper]
+    if not (np.array_equal(indices[perm], rows) and np.array_equal(rows[perm], indices)):
+        # an explicit zero stored on one side only: X mirrors the
+        # upper triangle, so rebuild the structure from it
+        i, j = rows[upper], indices[upper]
+        off = i != j
+        r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+        S = sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
+        indptr, indices = S.indptr, S.indices
+        rows, perm = _slots(indptr, indices)
+        upper = indices >= rows
+    # a lower slot takes the variate of its mirror, the upper slot
+    # perm names; rank stays intp, which numpy gathers twice as fast
+    rank = np.cumsum(upper) - 1
+    gather = np.where(upper, rank, rank[perm])
+    return b, gather, (indptr, indices)
+
+
+def _plan(C):
+    """(b, gather, structure) for sampling C; compiled once per pattern.
+
+    One trial's values are b * xi, with xi drawn in the contract order at
+    b's length (at b's shape for a dense rectangular pattern), then read
+    through gather where there is one.  structure is the (indptr, indices)
+    of a sparse sample and None for a dense one.
+
+    - symmetric sparse: see ``_symmetric_sparse_plan``;
+    - symmetric dense: b is the upper triangle, row-major, and gather the
+      n x n map with gather[i, j] = gather[j, i] = the index of b_ij;
+    - rectangular: b is the stored values and there is no gather; a sparse
+      sample reuses the pattern's CSR, whose canonical order is row-major.
+
+    The plan is cached on the immutable pattern.
     """
     with _PLAN_LOCK:
         plan = getattr(C, "_sampling_plan", None)
         if plan is None:
             A = C.data
-            indptr, indices = A.indptr, A.indices
-            rows, perm = _slots(indptr, indices)
-            upper = indices >= rows
-            b = A.data[upper]
-            if not (np.array_equal(indices[perm], rows) and np.array_equal(rows[perm], indices)):
-                # an explicit zero stored on one side only: X mirrors the
-                # upper triangle, so rebuild the structure from it
-                i, j = rows[upper], indices[upper]
-                off = i != j
-                r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
-                S = sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
-                indptr, indices = S.indptr, S.indices
-                rows, perm = _slots(indptr, indices)
-                upper = indices >= rows
-            # a lower slot takes the variate of its mirror, the upper slot
-            # perm names; rank stays intp, which numpy gathers twice as fast
-            rank = np.cumsum(upper) - 1
-            gather = np.where(upper, rank, rank[perm])
-            plan = C._sampling_plan = (b, indptr, indices, gather)
+            if C.kind == "rectangular":
+                plan = (A.data, None, (A.indptr, A.indices)) if C.is_sparse else (A, None, None)
+            elif C.is_sparse:
+                plan = _symmetric_sparse_plan(A)
+            else:
+                i, j = np.triu_indices(C.rows)
+                gather = np.empty(A.shape, dtype=np.intp)
+                gather[i, j] = gather[j, i] = np.arange(i.shape[0])
+                plan = (A[i, j], gather, None)
+            C._sampling_plan = plan
     return plan
 
 
@@ -221,24 +248,18 @@ def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     Symmetric patterns get one variate per unordered pair (i <= j), mirrored
     across the diagonal; the zero pattern of C is preserved exactly.
     """
-    rng = seed.generator(stream)
-    if C.kind == "symmetric" and C.is_sparse:
-        b, indptr, indices, gather = _symmetric_sparse_plan(C)
-        vals = b * draw_entries(dist, rng, b.shape[0])
-        return sp.csr_array((vals[gather], indices.copy(), indptr.copy()), shape=(C.rows, C.cols))
-    if C.kind == "symmetric":
-        i, j, b = C.upper_triangle()
-        xi = draw_entries(dist, rng, b.shape[0])
-        vals = b * xi
-        X = np.zeros((C.rows, C.cols))
-        X[i, j] = vals
-        return X + np.triu(X, 1).T
-    if C.is_sparse:
-        i, j, b = C.nonzero_entries()
-        xi = draw_entries(dist, rng, b.shape[0])
-        return sp.coo_array((b * xi, (i, j)), shape=(C.rows, C.cols)).tocsr()
-    xi = draw_entries(dist, rng, (C.rows, C.cols))
-    return np.asarray(C.data) * xi
+    b, gather, structure = _plan(C)
+    vals = b * draw_entries(dist, seed.generator(stream), b.shape[0] if b.ndim == 1 else b.shape)
+    if gather is not None:
+        if structure is None:
+            # dense symmetric samples hold +0.0, never -0.0, where b_ij = 0
+            # (fixed CSV bytes); adding 0.0 changes no other value
+            vals += 0.0
+        vals = vals[gather]
+    if structure is None:
+        return vals
+    indptr, indices = structure
+    return sp.csr_array((vals, indices.copy(), indptr.copy()), shape=(C.rows, C.cols))
 
 
 def symmetrized_difference(C, dist, seed):

@@ -124,9 +124,10 @@ def _is_symmetric(M):
 
 
 def _is_diagonal(M):
-    # a nonzero stored off the diagonal makes the first count the larger one
-    stored = M.data if sp.issparse(M) else np.asarray(M)
-    return bool(np.count_nonzero(stored) == np.count_nonzero(M.diagonal()))
+    # a nonzero stored off the diagonal makes the first count the larger
+    # one; more nonzeros than diagonal slots settles it without the diagonal
+    stored = np.count_nonzero(M.data if sp.issparse(M) else np.asarray(M))
+    return bool(stored <= min(M.shape) and stored == np.count_nonzero(M.diagonal()))
 
 
 def _start_vector(n):
@@ -220,6 +221,16 @@ def _arpack_norm(M, symmetric, tol):
     return NormResult(abs(lam), "lanczos", calls, rel)
 
 
+def row_col_sumsq(M):
+    """(row sums, column sums) of the squared entries of a matrix."""
+    if sp.issparse(M):
+        sq = M.multiply(M)
+        return np.asarray(sq.sum(axis=1)).ravel(), np.asarray(sq.sum(axis=0)).ravel()
+    A = np.asarray(M, dtype=float)
+    sq = A * A
+    return sq.sum(axis=1), sq.sum(axis=0)
+
+
 def max_row_norm(M):
     """max_i ||M e_i||, maximized over both rows and columns.
 
@@ -227,15 +238,7 @@ def max_row_norm(M):
     taking both orientations keeps the quantity a pointwise lower bound on
     the spectral norm for rectangular input too.
     """
-    if sp.issparse(M):
-        sq = M.multiply(M)
-        row = np.asarray(sq.sum(axis=1)).ravel()
-        col = np.asarray(sq.sum(axis=0)).ravel()
-    else:
-        A = np.asarray(M, dtype=float)
-        sq = A * A
-        row = sq.sum(axis=1)
-        col = sq.sum(axis=0)
+    row, col = row_col_sumsq(M)
     top = max(row.max() if row.size else 0.0, col.max() if col.size else 0.0)
     return float(math.sqrt(top))
 

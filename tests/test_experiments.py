@@ -121,6 +121,43 @@ def test_symmetric_trials_skip_the_symmetry_check(monkeypatch):
         experiments.estimate_expected_norm(rect, GAUSSIAN, 2, seed=6)
 
 
+def test_trials_go_through_the_module_names(monkeypatch):
+    # the trial helper looks sample_matrix, spectral_norm and max_row_norm
+    # up in experiments at call time, so wrappers installed there see every trial
+    calls = {"sample_matrix": 0, "spectral_norm": 0, "max_row_norm": 0}
+    for name in calls:
+        original = getattr(experiments, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    experiments.phase_scan("band", [64, 128], "const:3", GAUSSIAN, trials=3, seed=1)
+    experiments.estimate_expected_norm(coeffs.band(64, 2), GAUSSIAN, 4, seed=3)
+    experiments.bounds_vs_empirical_report(coeffs.wigner(8), GAUSSIAN, 0.5, 5, seed=4)
+    assert calls == {"sample_matrix": 15, "spectral_norm": 15, "max_row_norm": 5}
+
+
+def test_phase_scan_divides_each_trial_by_root_k():
+    grid = experiments.phase_scan("band", [64, 128], "const:5", GAUSSIAN, trials=4, seed=2)
+    for cell, n in enumerate((64, 128)):
+        C = coeffs.band_cyclic(n, 2)
+        ratios = [
+            specnorm.spectral_norm(sample_matrix(C, GAUSSIAN, SeedSpec(2, cell * 4 + t)), tol=1e-4).value
+            / math.sqrt(5)
+            for t in range(4)
+        ]
+        assert grid.rows[cell]["ratio_mean"] == float(np.mean(ratios))
+
+
+@pytest.mark.parametrize("n, k, sparse", [(200, 3, True), (40, 7, False), (60, 3, False)])
+def test_regular_random_pattern_storage_follows_the_fill_threshold(n, k, sparse):
+    C = experiments.regular_random_pattern(n, k, seed=5)
+    assert C.is_sparse is sparse
+    assert (n * k < coeffs.SPARSE_FILL_THRESHOLD * n * n) is sparse
+
+
 def test_phase_ratio_decreasing_in_k():
     # denser rows push ||X||/sqrt(k) down toward the bulk edge (trend, not
     # per-sample): k = 3, 15, 63 at fixed n

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -242,8 +243,26 @@ def test_wigner_closed_form_equals_bruteforce():
 
 
 def test_falling_factorial_truncates():
-    assert moments._falling(3, 5) == 0  # crosses zero: no injective maps
-    assert moments._falling(5, 3) == 60
+    # the closed forms count injective maps with math.perm, which must be
+    # the falling factorial r (r-1) ... (r-k+1), zero once it crosses zero
+    def falling(x, k):
+        out = 1
+        for i in range(k):
+            out *= x - i
+        return out
+
+    assert math.perm(3, 5) == falling(3, 5) == 0  # no injective maps
+    assert math.perm(5, 3) == 60
+    for r in range(1, 30):
+        for k in range(12):
+            assert math.perm(r, k) == falling(r, k), (r, k)
+
+
+def test_moment_table_exact_ints():
+    for dist, even in ((GAUSSIAN, [1, 1, 3, 15, 105, 945, 10395]), (RADEMACHER, [1] * 7)):
+        table = moments._moment_table(dist, 12)
+        assert table[0::2] == even and table[1::2] == [0] * 6
+        assert all(type(v) is int for v in table)
 
 
 def test_rect_trace_moment_examples():

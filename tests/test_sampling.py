@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specbound import coeffs, sampling
+from specbound import bounds, coeffs, sampling
 from specbound.errors import ParameterError
 from specbound.sampling import (
     GAUSSIAN,
@@ -36,16 +36,56 @@ def test_identical_seed_gives_bit_identical_matrices():
     assert not np.array_equal(x, z)
 
 
-def _reference_symmetric_sample(C, dist, seed):
-    """Direct COO -> CSR construction: one variate per upper-triangle
-    nonzero in row-major order, mirrored below the diagonal."""
-    i, j, b = C.upper_triangle()
-    vals = b * sampling.draw_entries(dist, seed.generator(), b.shape[0])
+def _reference_entries(C):
+    """(i, j, b_ij) in the contract order, built independently of the
+    sampling plan: the upper triangle of a symmetric pattern, all entries of
+    a rectangular one, each row-major and, if sparse, its stored entries only."""
+    if not C.is_sparse:
+        i, j = np.triu_indices(C.rows) if C.kind == "symmetric" else np.indices(C.data.shape).reshape(2, -1)
+        return i, j, np.asarray(C.data)[i, j]
+    coo = (sp.triu(C.data, k=0) if C.kind == "symmetric" else C.data).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return coo.row[order], coo.col[order], coo.data[order]
+
+
+def _reference_sample(C, dist, seed):
+    """A sample built directly from the contract order: mirrored COO -> CSR
+    or a scatter plus its transpose for symmetric patterns, COO -> CSR or
+    an elementwise product for rectangular ones."""
+    rng = seed.generator()
+    if C.kind == "rectangular" and not C.is_sparse:
+        return np.asarray(C.data) * sampling.draw_entries(dist, rng, (C.rows, C.cols))
+    i, j, b = _reference_entries(C)
+    vals = b * sampling.draw_entries(dist, rng, b.shape[0])
+    if C.kind == "rectangular":
+        return sp.coo_array((vals, (i, j)), shape=(C.rows, C.cols)).tocsr()
+    if not C.is_sparse:
+        X = np.zeros((C.rows, C.cols))
+        X[i, j] = vals
+        return X + np.triu(X, 1).T
     off = i != j
     rows = np.concatenate([i, j[off]])
     cols = np.concatenate([j, i[off]])
     data = np.concatenate([vals, vals[off]])
     return sp.coo_array((data, (rows, cols)), shape=(C.rows, C.cols)).tocsr()
+
+
+def _arrays(X):
+    """The arrays a sample is made of: data, indices, indptr if it is CSR."""
+    if sp.issparse(X):
+        return {"data": X.data, "indices": X.indices, "indptr": X.indptr}
+    return {"data": X}
+
+
+def _reference_max_entry_maxima(C, trials, seed):
+    _, _, b = _reference_entries(C)
+    b = np.abs(b[b != 0])
+    if b.size == 0:
+        return []
+    return [
+        float((b * np.abs(SeedSpec(seed, t).generator(sampling.STREAM_MAX_ENTRY).standard_normal(b.size))).max())
+        for t in range(trials)
+    ]
 
 
 def _sparse_file_pattern(tmp_path):
@@ -74,24 +114,89 @@ SPARSE_BUILDS = {
 }
 
 
-@pytest.mark.parametrize("build", SPARSE_BUILDS.values(), ids=SPARSE_BUILDS.keys())
+def _rect_sparse_pattern():
+    """400 x 300 rectangular pattern at 1% fill, signed values, explicit zeros."""
+    A = sp.random(400, 300, density=0.01, random_state=3, format="csr")
+    A.data -= 0.5
+    A.data[::7] = 0.0
+    return coeffs.CoefficientMatrix(A, "rectangular")
+
+
+# dense symmetric, dense rectangular and sparse rectangular patterns
+OTHER_BUILDS = {
+    "wigner": lambda tmp: coeffs.wigner(20),
+    "band_dense": lambda tmp: coeffs.band(64, 3),
+    "rect_dense": lambda tmp: coeffs.CoefficientMatrix(np.arange(21.0).reshape(3, 7) - 10.0, "rectangular"),
+    "rect_sparse": lambda tmp: _rect_sparse_pattern(),
+}
+ALL_BUILDS = {**SPARSE_BUILDS, **OTHER_BUILDS}
+
+
+@pytest.mark.parametrize("build", ALL_BUILDS.values(), ids=ALL_BUILDS.keys())
 def test_sparse_symmetric_sample_matches_reference(build, tmp_path):
+    # every kind and storage: bit-identical to the reference, signs of zeros too
     C = build(tmp_path)
-    assert C.is_sparse and C.kind == "symmetric"
     for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
-        for dist in (GAUSSIAN, RADEMACHER):
+        for dist in (GAUSSIAN, RADEMACHER, HEAVY2):
             X = sample_matrix(C, dist, seed)
-            ref = _reference_symmetric_sample(C, dist, seed)
-            for attr in ("data", "indices", "indptr"):
-                got, want = getattr(X, attr), getattr(ref, attr)
-                assert got.dtype == want.dtype and np.array_equal(got, want), attr
-            assert X.shape == ref.shape
+            ref = _reference_sample(C, dist, seed)
+            assert type(X) is type(ref) and X.shape == ref.shape
+            got, want = _arrays(X), _arrays(ref)
+            for name in want:
+                assert got[name].dtype == want[name].dtype, name
+                assert np.array_equal(got[name], want[name]), name
+                assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), name
+
+
+@pytest.mark.parametrize("build", ALL_BUILDS.values(), ids=ALL_BUILDS.keys())
+def test_max_entry_maxima_match_reference(build, tmp_path):
+    C = build(tmp_path)
+    for seed in (11, 12):
+        assert bounds._max_entry_maxima(C, 4, seed) == _reference_max_entry_maxima(C, 4, seed)
+
+
+@pytest.mark.parametrize("build", OTHER_BUILDS.values(), ids=OTHER_BUILDS.keys())
+def test_custom_sampler_sees_the_contract_size(build, tmp_path):
+    # one variate per upper-triangle entry or stored entry; a dense
+    # rectangular pattern is drawn at its (rows, cols) shape
+    C = build(tmp_path)
+    sizes = []
+
+    def sampler(rng, size):
+        sizes.append(size)
+        return rng.standard_normal(size)
+
+    sample_matrix(C, EntryDistribution("custom", sampler=sampler), SeedSpec(1, 0))
+    _, _, b = _reference_entries(C)
+    want = (C.rows, C.cols) if C.kind == "rectangular" and not C.is_sparse else b.shape[0]
+    assert sizes == [want] and type(sizes[0]) is type(want)
+
+
+@pytest.mark.parametrize("build", ALL_BUILDS.values(), ids=ALL_BUILDS.keys())
+def test_sampling_plan_compiled_once(build, tmp_path, monkeypatch):
+    C = build(tmp_path)
+    first = sample_matrix(C, GAUSSIAN, SeedSpec(8, 0))
+    plan = C._sampling_plan
+
+    def compile_again(*args, **kwargs):
+        raise AssertionError("the sampling plan was compiled again")
+
+    monkeypatch.setattr(sampling, "_symmetric_sparse_plan", compile_again)
+    monkeypatch.setattr(sampling.np, "triu_indices", compile_again)
+    again = sample_matrix(C, GAUSSIAN, SeedSpec(8, 0))
+    assert C._sampling_plan is plan
+    for name, arr in _arrays(again).items():
+        assert np.array_equal(arr, _arrays(first)[name])
+    if C.is_sparse:
+        # samples own their structure: the pattern's arrays are never shared
+        for arr in (again.indices, again.indptr):
+            assert not np.shares_memory(arr, C.data.indices) and not np.shares_memory(arr, C.data.indptr)
 
 
 @pytest.mark.parametrize(
     "build",
-    [*SPARSE_BUILDS.values(), lambda tmp: coeffs.log_decay_diagonal(40)],
-    ids=[*SPARSE_BUILDS.keys(), "log_decay_diagonal"],
+    [*SPARSE_BUILDS.values(), lambda tmp: coeffs.log_decay_diagonal(40), OTHER_BUILDS["rect_sparse"]],
+    ids=[*SPARSE_BUILDS.keys(), "log_decay_diagonal", "rect_sparse"],
 )
 def test_sparse_patterns_and_samples_have_int32_indices(build, tmp_path):
     C = build(tmp_path)
@@ -148,9 +253,7 @@ def test_unit_variance_within_three_stderr(dist):
 def test_per_entry_variance_wigner64():
     # frozen-seed Monte Carlo oracle: every distinct entry's variance over
     # 1e4 trials stays in [0.94, 1.06]
-    C = coeffs.wigner(64)
-    i, j, _ = C.upper_triangle()
-    nent = i.shape[0]
+    nent = 64 * 65 // 2  # the upper triangle of wigner(64)
     acc = np.zeros(nent)
     acc2 = np.zeros(nent)
     trials = 10_000

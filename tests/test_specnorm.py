@@ -24,6 +24,28 @@ def test_diagonal_norm_is_max_abs_entry():
     assert r.method == "dense_eig"
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_is_diagonal_truth_table(sparse):
+    # the stored-count shortcut must give the answers of the diagonal comparison
+    cases = [
+        (np.diag([1.0, -3.0, 2.0]), True),
+        (np.diag([1.0, 0.0, 2.0]), True),
+        (np.zeros((3, 3)), True),
+        (np.eye(3, 5), True),
+        (np.eye(5, 3), True),
+        (np.eye(3) + np.eye(3, k=1), False),  # more nonzeros than diagonal slots
+        (np.diag([1.0, 0.0, 2.0]) + np.eye(3, k=2), False),  # as many, one off the diagonal
+        (np.array([[0, 0, 0, 1.0, 0], [0, 0, 0, 0, 1.0], [0, 0, 1.0, 0, 0]]), False),
+    ]
+    for a, want in cases:
+        assert specnorm._is_diagonal(sp.csr_array(a) if sparse else a) is want, a
+    # explicit zeros stored off the diagonal do not count
+    stored = sp.csr_array(
+        (np.array([2.0, 0.0, 0.0, 1.0]), np.array([0, 1, 2, 2]), np.array([0, 3, 3, 4])), shape=(3, 3)
+    )
+    assert specnorm._is_diagonal(stored) is True
+
+
 def test_all_ones_norm_is_n():
     assert spectral_norm(np.ones((3, 3))).value == pytest.approx(3.0)
 
