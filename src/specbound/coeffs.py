@@ -61,7 +61,11 @@ class CoefficientMatrix:
                 # half the index bytes of int64, and samples, plans and
                 # transposes inherit the width
                 data = type(data)(
-                    (data.data, data.indices.astype(np.int32), data.indptr.astype(np.int32)),
+                    (
+                        data.data,
+                        data.indices.astype(np.int32, copy=False),
+                        data.indptr.astype(np.int32, copy=False),
+                    ),
                     shape=data.shape,
                 )
             values = data.data
@@ -79,8 +83,15 @@ class CoefficientMatrix:
             if n != m:
                 raise ParameterError("symmetric pattern must be square")
             if sp.issparse(data):
-                asym = abs(data - data.T)
-                gap = asym.data.max() if asym.nnz else 0.0
+                T = data.T.tocsr()
+                if np.array_equal(T.indptr, data.indptr) and np.array_equal(T.indices, data.indices):
+                    # same structure: the gap is slot by slot, in T's buffer
+                    np.subtract(data.data, T.data, out=T.data)
+                    gap = np.abs(T.data, out=T.data).max() if T.nnz else 0.0
+                else:
+                    # a one-sided explicit zero or an asymmetric pattern
+                    asym = abs(data - T)
+                    gap = asym.data.max() if asym.nnz else 0.0
             else:
                 gap = np.abs(data - data.T).max() if n else 0.0
             if gap > sym_tol:
@@ -123,11 +134,12 @@ class CoefficientMatrix:
         return abs(self._data)
 
     def nonzero_entries(self):
-        """(i, j, b_ij) of all stored nonzeros in row-major order."""
+        """(i, j, b_ij) of all nonzeros in row-major order; stored zeros are skipped."""
         if self.is_sparse:
+            # the canonical CSR lists its slots row-major
             coo = self._data.tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            return coo.row[order], coo.col[order], coo.data[order]
+            keep = coo.data != 0
+            return coo.row[keep], coo.col[keep], coo.data[keep]
         i, j = np.nonzero(self._data)
         return i, j, np.asarray(self._data)[i, j]
 
@@ -202,8 +214,11 @@ def band_cyclic(n, k):
         raise ParameterError(f"band_cyclic requires 0 <= 2k+1 <= n, got k={k}, n={n}")
     k = int(k)
     w = 2 * k + 1
-    # row i holds columns i-k .. i+k mod n, distinct since w <= n
-    cols = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)) % n, axis=1)
+    # row i holds columns i-k .. i+k mod n, distinct since w <= n; int32
+    # is the pattern's index width, so the CSR takes cols without a copy
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.arange(-k, k + 1, dtype=np.int32)
+    cols %= n
+    cols.sort(axis=1)
     mat = sp.csr_array((np.ones(n * w), cols.ravel(), np.arange(0, n * w + 1, w)), shape=(n, n))
     return _store(mat, n * w, "symmetric")
 

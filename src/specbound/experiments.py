@@ -277,12 +277,12 @@ def _block_norms(X, nblocks, k):
     return float(np.abs(w).max())
 
 
-def seginer_block_experiment(n_grid, dist, trials, seed, threads=1, tol=DEFAULT_NORM_TOL):
+def seginer_block_experiment(n_grid, dist, trials, seed, threads=1):
     """E||X|| / sqrt(log n) for block-diagonal patterns with k = ceil(sqrt(log n)).
 
     n is rounded to the nearest multiple of k.  The norm of each sample is
-    the max over its diagonal blocks, computed by batched dense
-    eigendecompositions of the k x k blocks, so ``tol`` goes unused.
+    the max over its diagonal blocks, computed exactly by batched dense
+    eigendecompositions of the k x k blocks, so no solver tolerance applies.
     """
     rows = []
     for cell, n_req in enumerate(n_grid):

@@ -171,14 +171,28 @@ def distribution_moment(dist, order):
     raise ParameterError("moments of a custom distribution are not known exactly")
 
 
-def _slots(indptr, indices):
-    """Row of each CSR slot, and the slot order of the transpose.
+def _transpose(A):
+    """The transpose of A's CSR structure, each slot holding the A slot it mirrors.
 
-    A stable argsort by column lists the slots in (column, row) order, which
-    is the row-major slot order of the transpose.
+    scipy's O(nnz) CSR -> CSC conversion of slot ids lists the slots in
+    (column, row) order, the row-major slot order of the transpose; its data
+    is what argsort(A.indices, kind="stable") gives.
     """
-    rows = np.repeat(np.arange(indptr.shape[0] - 1, dtype=indices.dtype), np.diff(indptr))
-    return rows, np.argsort(indices, kind="stable")
+    ids = np.arange(A.indices.shape[0])
+    return sp.csr_array((ids, A.indices, A.indptr), shape=A.shape).T.tocsr()
+
+
+def _rows(A):
+    """Row of each CSR slot."""
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+
+
+def _mirrored_structure(A, upper):
+    """Canonical CSR of the upper triangle's slots and their mirrors."""
+    i, j = _rows(A)[upper], A.indices[upper]
+    off = i != j
+    r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+    return sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
 
 
 def _symmetric_sparse_plan(A):
@@ -186,27 +200,31 @@ def _symmetric_sparse_plan(A):
 
     b is the upper triangle in the row-major contract order; indptr and
     indices are the canonical CSR structure of the full mirrored X; gather
-    maps each CSR slot to the variate that fills it.
+    maps each CSR slot to the variate that fills it.  Temporaries are
+    dropped as soon as they are dead, so that the compile holds at most
+    one nnz-sized array besides the plan.
     """
-    indptr, indices = A.indptr, A.indices
-    rows, perm = _slots(indptr, indices)
-    upper = indices >= rows
+    upper = A.indices >= _rows(A)
     b = A.data[upper]
-    if not (np.array_equal(indices[perm], rows) and np.array_equal(rows[perm], indices)):
+    T = _transpose(A)
+    if not (np.array_equal(T.indptr, A.indptr) and np.array_equal(T.indices, A.indices)):
         # an explicit zero stored on one side only: X mirrors the
         # upper triangle, so rebuild the structure from it
-        i, j = rows[upper], indices[upper]
-        off = i != j
-        r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
-        S = sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
-        indptr, indices = S.indptr, S.indices
-        rows, perm = _slots(indptr, indices)
-        upper = indices >= rows
-    # a lower slot takes the variate of its mirror, the upper slot
-    # perm names; rank stays intp, which numpy gathers twice as fast
-    rank = np.cumsum(upper) - 1
-    gather = np.where(upper, rank, rank[perm])
-    return b, gather, (indptr, indices)
+        A = _mirrored_structure(A, upper)
+        upper = A.indices >= _rows(A)
+        T = _transpose(A)
+    perm = T.data
+    del T
+    # a lower slot takes the variate of its mirror, the upper slot perm
+    # names; gather stays intp, which numpy gathers twice as fast
+    gather = upper.astype(np.intp)
+    np.cumsum(gather, out=gather)  # a cumsum of bools would cast into a second copy
+    gather -= 1
+    lower = np.logical_not(upper, out=upper)
+    mirror = perm[lower]
+    del perm
+    gather[lower] = gather[mirror]
+    return b, gather, (A.indptr, A.indices)
 
 
 def _plan(C):

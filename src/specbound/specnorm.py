@@ -109,9 +109,9 @@ class NormResult:
 
 
 def _max_abs(M):
-    if sp.issparse(M):
-        return float(np.abs(M.data).max()) if M.nnz else 0.0
-    return float(np.abs(M).max()) if M.size else 0.0
+    # max |x| without an |x| copy; NaN propagates through max and min
+    a = M.data if sp.issparse(M) else np.asarray(M)
+    return abs(float(max(a.max(), -a.min()))) if a.size else 0.0
 
 
 def _is_symmetric(M):

@@ -142,6 +142,19 @@ def test_bound_bounded_entries_validation():
         bounds.bound_bounded_entries(C, 3.0, lambda i, j, q: math.inf)
 
 
+def test_bound_bounded_entries_skips_stored_zeros():
+    # entry_moment sees the nonzeros only, whatever the storage
+    stored_zeros = sp.csr_array(([1.0, 0.0, 0.0, 1.0], [0, 1, 0, 1], [0, 2, 4]), shape=(2, 2))
+    seen = {}
+    for name, entries in (("csr", stored_zeros), ("dense", np.eye(2))):
+        C = coeffs.CoefficientMatrix(entries, "symmetric")
+        calls = []
+        bounds.bound_bounded_entries(C, 3.0, lambda i, j, q: calls.append((i, j)) or 1.0)
+        seen[name] = calls
+    assert stored_zeros.nnz == 4
+    assert seen["csr"] == seen["dense"] == [(0, 0), (1, 1)]
+
+
 def test_bound_dimfree_examples():
     tiny = bounds.bound_dimfree(coeffs.single_entry(10**6), 1.0)
     assert tiny.value == pytest.approx(1.0)  # independent of n

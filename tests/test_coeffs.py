@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,84 @@ def test_asymmetric_construction_rejected():
         coeffs.CoefficientMatrix(a, "symmetric")
     with pytest.raises(DataError):
         coeffs.CoefficientMatrix(np.array([[np.nan]]), "symmetric")
+
+
+def _reference_gap(M):
+    """The sparse symmetry gap as max |M - M^T| over the stored entries of the difference."""
+    asym = abs(M - M.T)
+    return asym.data.max() if asym.nnz else 0.0
+
+
+def _assert_check_matches_reference(M, tol):
+    gap = _reference_gap(M)
+    if gap > tol:
+        message = f"pattern is not symmetric (max asymmetry {gap:g} > tol {tol:g})"
+        with pytest.raises(DataError, match=re.escape(message)):
+            coeffs.CoefficientMatrix(M, "symmetric", sym_tol=tol)
+    else:
+        C = coeffs.CoefficientMatrix(M, "symmetric", sym_tol=tol)
+        assert C.is_sparse
+
+
+def _random_near_symmetric(n, seed, noise, index_dtype):
+    rng = np.random.default_rng(seed)
+    A = sp.random(n, n, density=0.1, random_state=rng, format="csr")
+    A = (A + A.T).tocsr()
+    A.data += noise * rng.standard_normal(A.nnz)
+    return sp.csr_array(
+        (A.data, A.indices.astype(index_dtype), A.indptr.astype(index_dtype)), shape=A.shape
+    )
+
+
+def _csr(rows, cols, vals, n):
+    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+SYMMETRY_CASES = {
+    # an explicit zero at (0, 2) whose mirror is not stored: symmetric
+    "one_sided_zero": (_csr([0, 1, 0, 2, 1], [0, 1, 2, 0, 2], [1.0, 2.0, 0.0, 0.0, 0.0], 3), 0.0),
+    "one_sided_zero_only": (_csr([0, 1], [2, 1], [0.0, 3.0], 3), 0.0),
+    "values_differ": (_csr([0, 0, 1], [0, 1, 0], [1.0, 2.0, 2.5], 2), 0.0),
+    "values_differ_within_tol": (_csr([0, 0, 1], [0, 1, 0], [1.0, 2.0, 2.5], 2), 0.5),
+    "one_sided_entry": (_csr([0, 1], [1, 1], [-4.0, 1.0], 2), 0.0),
+    "one_sided_entry_within_tol": (_csr([0, 1], [1, 1], [-4.0, 1.0], 2), 4.0),
+    "all_zero": (_csr([0], [1], [0.0], 2), 0.0),
+    "empty": (sp.csr_array((4, 4)), 0.0),
+    "one_by_one": (_csr([0], [0], [7.0], 1), 0.0),
+    "random_int32": (_random_near_symmetric(60, 1, 1e-3, np.int32), 1e-3),
+    "random_int64": (_random_near_symmetric(60, 2, 1e-3, np.int64), 1e-3),
+    "random_exact": (_random_near_symmetric(60, 3, 0.0, np.int64), 0.0),
+}
+
+
+@pytest.mark.parametrize("M, tol", SYMMETRY_CASES.values(), ids=SYMMETRY_CASES.keys())
+def test_sparse_symmetry_check_matches_reference_gap(M, tol):
+    _assert_check_matches_reference(M, tol)
+
+
+def test_symmetry_check_of_a_matrix_file(tmp_path):
+    # a near-symmetric file under FILE_SYMMETRY_TOL: the sparse check agrees
+    # with the reference gap and with the dense load of the same file
+    path = tmp_path / "near.csv"
+    for skew, accepted in ((1e-13, True), (1e-9, False)):
+        a = np.array([[1.0, 0.5, 0.0], [0.5 + skew, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        coeffs.write_matrix_csv(a, path)
+        M = sp.csr_array(np.loadtxt(path, delimiter=","))
+        _assert_check_matches_reference(M, coeffs.FILE_SYMMETRY_TOL)
+        assert (_reference_gap(M) <= coeffs.FILE_SYMMETRY_TOL) == accepted
+        if accepted:
+            coeffs.load_dense_csv(path, kind="symmetric")
+        else:
+            with pytest.raises(DataError, match=re.escape(f"max asymmetry {_reference_gap(M):g}")):
+                coeffs.load_dense_csv(path, kind="symmetric")
+
+
+def test_already_canonical_int32_csr_is_wrapped_without_copies():
+    A = coeffs.band_cyclic(300, 3).data
+    M = sp.csr_array((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    C = coeffs.CoefficientMatrix(M, "symmetric")
+    for attr in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(C.data, attr), getattr(M, attr)), attr
 
 
 def test_dense_csv_roundtrip(tmp_path):

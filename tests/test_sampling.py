@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specbound import bounds, coeffs, sampling
+from specbound import bounds, coeffs, experiments, sampling
 from specbound.errors import ParameterError
 from specbound.sampling import (
     GAUSSIAN,
@@ -204,6 +205,92 @@ def test_sparse_patterns_and_samples_have_int32_indices(build, tmp_path):
     X = sample_matrix(C, GAUSSIAN, SeedSpec(5, 0))
     for M in (C.data, X):
         assert M.indices.dtype == np.int32 and M.indptr.dtype == np.int32
+
+
+def _random_csr(n, m, seed, index_dtype, symmetric=False):
+    """Canonical CSR at about 5% fill whose odd rows and columns are empty."""
+    rng = np.random.default_rng(seed)
+    k = max(1, n * m // 20)
+    r, c = 2 * rng.integers(0, (n + 1) // 2, k), 2 * rng.integers(0, (m + 1) // 2, k)
+    A = sp.coo_array((rng.standard_normal(k), (r, c)), shape=(n, m)).tocsr()
+    if symmetric:
+        A = (A + A.T).tocsr()
+    return sp.csr_array(
+        (A.data, A.indices.astype(index_dtype), A.indptr.astype(index_dtype)), shape=A.shape
+    )
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (40, 40), (300, 120)])
+def test_transpose_order_is_the_stable_argsort(shape, index_dtype):
+    for seed in range(3):
+        A = _random_csr(*shape, seed, index_dtype)
+        assert A.has_canonical_format and A.indices.dtype == index_dtype
+        T = sampling._transpose(A)
+        ref = A.T.tocsr()
+        assert np.array_equal(T.data, np.argsort(A.indices, kind="stable"))
+        assert np.array_equal(T.indptr, ref.indptr) and np.array_equal(T.indices, ref.indices)
+    empty = sp.csr_array(shape, dtype=float)
+    assert sampling._transpose(empty).data.shape == (0,)
+
+
+def _reference_symmetric_sparse_plan(A):
+    """The plan by a stable argsort of the columns and two gathers."""
+    rows = np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+    upper = A.indices >= rows
+    b = A.data[upper]
+    indptr, indices = A.indptr, A.indices
+    perm = np.argsort(indices, kind="stable")
+    if not (np.array_equal(indices[perm], rows) and np.array_equal(rows[perm], indices)):
+        i, j = rows[upper], indices[upper]
+        off = i != j
+        r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+        S = sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
+        indptr, indices = S.indptr, S.indices
+        rows = np.repeat(np.arange(indptr.shape[0] - 1, dtype=indices.dtype), np.diff(indptr))
+        perm = np.argsort(indices, kind="stable")
+        upper = indices >= rows
+    rank = np.cumsum(upper) - 1
+    return b, np.where(upper, rank, rank[perm]), (indptr, indices)
+
+
+PLAN_BUILDS = {
+    **SPARSE_BUILDS,
+    "regular_random": lambda tmp: experiments.regular_random_pattern(200, 5, 3),
+    "random_symmetric": lambda tmp: coeffs.CoefficientMatrix(_random_csr(150, 150, 4, np.int32, True), "symmetric"),
+    "one_by_one": lambda tmp: coeffs.CoefficientMatrix(sp.csr_array(np.ones((1, 1))), "symmetric"),
+}
+
+
+@pytest.mark.parametrize("build", PLAN_BUILDS.values(), ids=PLAN_BUILDS.keys())
+def test_symmetric_sparse_plan_matches_reference(build, tmp_path):
+    # zero_above/below_diagonal take the explicit-zero rebuild branch
+    C = build(tmp_path)
+    assert C.is_sparse and C.kind == "symmetric"
+    got = sampling._symmetric_sparse_plan(C.data)
+    want = _reference_symmetric_sparse_plan(C.data)
+    for g, w in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes allocated while fn ran); numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_build_and_plan_compile_peak_memory():
+    # at most one nnz-sized temporary besides what each step keeps
+    C, build_peak = traced_peak(lambda: coeffs.band_cyclic(2**12, 20))
+    A = C.data
+    assert build_peak <= 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    (b, gather, _), plan_peak = traced_peak(lambda: sampling._plan(C))
+    assert plan_peak <= 2.5 * (b.nbytes + gather.nbytes)
 
 
 def test_band_sample_preserves_zero_pattern():

@@ -179,6 +179,28 @@ def test_bad_inputs():
         spectral_norm(np.eye(2), method="magic")
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_max_abs_reads_nan_inf_and_empty(sparse):
+    cases = [
+        ([[0.0, -3.0], [2.0, 0.0]], 3.0),
+        ([[0.0, np.nan], [-np.inf, 1.0]], np.nan),
+        ([[np.inf, 0.0], [0.0, -1.0]], np.inf),
+        ([[1.0, 0.0], [0.0, -np.inf]], np.inf),
+        ([[-0.0, 0.0], [0.0, -0.0]], 0.0),
+        (np.zeros((0, 3)), 0.0),
+        (np.zeros((3, 3)), 0.0),
+    ]
+    for a, want in cases:
+        a = np.asarray(a)
+        M = sp.csr_array(a) if sparse else a
+        got = specnorm._max_abs(M)
+        assert type(got) is float
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert got == want and not np.signbit(got)
+
+
 def test_zero_matrix():
     assert spectral_norm(np.zeros((4, 4))).value == 0.0
     assert spectral_norm(sp.csr_array((100, 100))).value == 0.0
