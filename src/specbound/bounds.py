@@ -10,7 +10,7 @@ curves, not guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .coeffs import lp_entrywise_norm, structural_params
@@ -63,8 +63,8 @@ def _require_symmetric(C, op):
         raise ParameterError(f"{op} expects a symmetric pattern")
 
 
-def _report(name, value, mode, C, eps=None, note=""):
-    p = structural_params(C)
+def _report(name, value, mode, C, p, eps=None, note=""):
+    """BoundReport of ``value``, with C's ``StructuralParams`` p as its inputs."""
     return BoundReport(
         bound_name=name,
         value=float(value),
@@ -93,7 +93,7 @@ def bound_main(C, epsilon):
     value = (1.0 + epsilon) * (
         2.0 * p.sigma + main_log_coefficient(epsilon) * p.sigma_star * math.sqrt(math.log(C.rows))
     )
-    return _report("main", value, EXPLICIT, C, eps=epsilon)
+    return _report("main", value, EXPLICIT, C, p, eps=epsilon)
 
 
 def bound_rect(C, epsilon):
@@ -104,7 +104,7 @@ def bound_rect(C, epsilon):
     value = (1.0 + epsilon) * (
         p.sigma1 + p.sigma2 + coeff * p.sigma_star * math.sqrt(math.log(min(C.rows, C.cols)))
     )
-    return _report("rect", value, EXPLICIT, C, eps=epsilon)
+    return _report("rect", value, EXPLICIT, C, p, eps=epsilon)
 
 
 def bound_reference(C, kind):
@@ -117,7 +117,7 @@ def bound_reference(C, kind):
         value = p.sigma_star * math.sqrt(C.rows)
     else:
         raise ParameterError(f"kind must be 'nck' or 'gordon', got {kind!r}")
-    return _report(kind, value, STRUCTURAL, C)
+    return _report(kind, value, STRUCTURAL, C, p)
 
 
 def bound_subgaussian(C, epsilon):
@@ -141,7 +141,7 @@ def bound_heavy(C, beta):
     _require_symmetric(C, "bound_heavy")
     p = structural_params(C)
     value = p.sigma + p.sigma_star * math.log(C.rows) ** (max(beta, 1.0) / 2.0)
-    return _report("heavy", value, STRUCTURAL, C, eps=beta)
+    return _report("heavy", value, STRUCTURAL, C, p, eps=beta)
 
 
 def bound_bounded_entries(C, alpha, entry_moment):
@@ -159,7 +159,7 @@ def bound_bounded_entries(C, alpha, entry_moment):
     n = C.rows
     if n == 1:
         value = math.exp(2.0 / alpha) * 2.0 * p.sigma
-        return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
+        return _report("bounded_entries", value, EXPLICIT, C, p, eps=alpha)
     q = 2 * math.ceil(alpha * math.log(n))
     big_m = 0.0
     ii, jj, _ = C.nonzero_entries()
@@ -172,7 +172,7 @@ def bound_bounded_entries(C, alpha, entry_moment):
     value = math.exp(2.0 / alpha) * (
         2.0 * p.sigma + 14.0 * alpha * big_m * math.sqrt(math.log(n))
     )
-    return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
+    return _report("bounded_entries", value, EXPLICIT, C, p, eps=alpha)
 
 
 def bound_dimfree(C, p):
@@ -194,7 +194,7 @@ def bound_dimfree(C, p):
         value = sp_.sigma + tail
     else:
         value = sp_.sigma1 + sp_.sigma2 + tail
-    return _report("dimfree", value, STRUCTURAL, C, eps=p)
+    return _report("dimfree", value, STRUCTURAL, C, sp_, eps=p)
 
 
 def bound_seginer(C):
@@ -212,7 +212,7 @@ def bound_seginer(C):
     logn = math.log(C.rows)
     u_star = p.sigma / logn**0.25
     value = p.sigma + 2.0 * p.sigma * logn**0.25
-    return _report("seginer", value, STRUCTURAL, C, note=f"u_star={u_star!r}")
+    return _report("seginer", value, STRUCTURAL, C, p, note=f"u_star={u_star!r}")
 
 
 def bound_rademacher(C, epsilon, tol=1e-8):
@@ -220,9 +220,10 @@ def bound_rademacher(C, epsilon, tol=1e-8):
     _check_epsilon(epsilon)
     _require_symmetric(C, "bound_rademacher")
     main = bound_main(C, epsilon)
-    norm_b = specnorm.spectral_norm(C.absolute(), tol=tol).value
+    with specnorm._single_blas_thread:  # LAPACK digits depend on the BLAS thread count
+        norm_b = specnorm.spectral_norm(C.absolute(), tol=tol).value
     value = min(main.value, norm_b)
-    return _report("rademacher", value, STRUCTURAL, C, eps=epsilon)
+    return replace(main, bound_name="rademacher", value=float(value), constant_mode=STRUCTURAL)
 
 
 def _max_entry_maxima(C, trials, seed):

@@ -5,9 +5,10 @@ Trials are embarrassingly parallel.  Each trial owns a generator derived
 from (master_seed, trial_index), per-trial values are stored by index, and
 all reductions run over the stored array, so results are identical at any
 thread count.  The pool is capped at the cores this process may run on.
-Dense LAPACK solves keep the process's BLAS thread count in the pool too:
-their last digits depend on it, so pinning BLAS only in the pool would make
-``--threads 1`` and ``--threads 8`` disagree.
+Every trial, serial or pooled, runs on one BLAS thread: dense LAPACK digits
+depend on the BLAS thread count, so pinning it makes dense results
+independent of the host's core count and of ``OPENBLAS_NUM_THREADS``, and
+``--threads N`` never stacks N trial threads on N BLAS threads each.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .sampling import (
     SeedSpec,
     sample_matrix,
 )
-from .specnorm import EIG_DENSE_THRESHOLD, eigenvalues_all, max_row_norm, spectral_norm
+from .specnorm import EIG_DENSE_THRESHOLD, _single_blas_thread, eigenvalues_all, max_row_norm, spectral_norm
 
 K_RULE_NAMES = ("const", "c_log", "log_sq", "sqrt")
 DEFAULT_NORM_TOL = 1e-4  # MC experiments relax the solver tolerance to 1e-4
@@ -47,10 +48,11 @@ def available_cores():
 def _run_trials(fn, trials, threads):
     """Evaluate fn(t) for t = 0..trials-1, results ordered by trial index."""
     workers = min(threads or 1, available_cores())
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+    with _single_blas_thread:
+        if workers <= 1:
+            return [fn(t) for t in range(trials)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(trials)))
 
 
 def _trial_norms(C, dist, seed, trials, tol, threads, first=0, row_norms=False):
@@ -257,7 +259,8 @@ def spectral_density_check(C, dist, seed):
     if C.rows > EIG_DENSE_THRESHOLD:
         raise ParameterError(f"n={C.rows} exceeds the dense-spectrum cap {EIG_DENSE_THRESHOLD}")
     X = sample_matrix(C, dist, SeedSpec(seed, 0))
-    lam = eigenvalues_all(X)[::-1] / math.sqrt(k)  # ascending
+    with _single_blas_thread:  # LAPACK digits depend on the BLAS thread count
+        lam = eigenvalues_all(X)[::-1] / math.sqrt(k)  # ascending
     F = semicircle_cdf(lam)
     i = np.arange(1, lam.size + 1, dtype=float)
     n = float(lam.size)

@@ -11,6 +11,10 @@ equals the largest singular value.
 
 An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
 basis gains nothing from a second OpenBLAS thread, which mostly spins.
+``_single_blas_thread`` is the pin; the Monte Carlo layer takes it around
+every trial loop and the single solves behind its output, so dense LAPACK
+results there do not depend on the BLAS thread count.  A dense LAPACK
+solve called directly keeps the process's BLAS threads.
 """
 
 from __future__ import annotations
@@ -40,52 +44,85 @@ _OPENBLAS = (
 )
 
 
-def _openblas_handles():
-    """(get, set) thread-count functions of each bundled OpenBLAS found."""
-    # imported on the first pin only: dense-only runs never look the libraries up
-    import ctypes
+def _openblas_libraries():
+    """(path, get symbol, set symbol) of each bundled OpenBLAS on disk."""
     import glob
     import os
 
-    handles = []
+    found = []
     for package, pattern, get_name, set_name in _OPENBLAS:
         libs = glob.glob(os.path.join(os.path.dirname(package.__file__), os.pardir, pattern))
-        if not libs:
-            continue
-        try:
-            lib = ctypes.CDLL(libs[0])
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        handles.append((get, set_))
-    return handles
+        if libs:
+            found.append((libs[0], get_name, set_name))
+    return found
+
+
+def _loaded_handle(path, get_name, set_name):
+    """(get, set) thread-count functions of a library the process has
+    already loaded; None if it has not loaded it.
+
+    RTLD_NOLOAD finds a loaded library and never loads one: a process that
+    only solves dense matrices never maps scipy's OpenBLAS (~1.5 MB RSS),
+    and the pin must not map it either.
+    """
+    import ctypes
+    import os
+
+    try:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _openblas_handles():
+    """(get, set) thread-count functions of each bundled OpenBLAS loaded."""
+    return [h for h in (_loaded_handle(*lib) for lib in _openblas_libraries()) if h]
 
 
 class _SingleBlasThread:
-    """Pins the bundled OpenBLAS pools to one thread while any user is inside.
+    """Pins the loaded bundled OpenBLAS pools to one thread while any user
+    is inside.
 
     Re-entrant and shared by threads: the outermost entry saves each
     library's thread count and sets it to 1, the last exit restores it, so
     a trial thread that finishes early never unpins its siblings.  The
-    libraries are looked up on first entry; one not found is left alone.
+    libraries are looked up on disk on first entry; one not loaded yet is
+    probed again on every entry, so a library first loaded inside the pin
+    (scipy's, by the first ARPACK import in a trial pool) is pinned from
+    the next entry on, nested or not.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._depth = 0
-        self._handles = None
+        self._unloaded = None  # libraries on disk not seen loaded yet
+        self._handles = []
         self._saved = []
+
+    def _probe(self):
+        """Handles of the libraries loaded since the last probe."""
+        if self._unloaded is None:
+            self._unloaded = _openblas_libraries()
+        new = []
+        for lib in list(self._unloaded):
+            handle = _loaded_handle(*lib)
+            if handle is not None:
+                self._unloaded.remove(lib)
+                new.append(handle)
+        self._handles += new
+        return new
 
     def __enter__(self):
         with self._lock:
-            if self._depth == 0:
-                if self._handles is None:
-                    self._handles = _openblas_handles()
-                self._saved = [(set_, get()) for get, set_ in self._handles]
-                for set_, _ in self._saved:
-                    set_(1)
+            new = self._probe()
+            pin = self._handles if self._depth == 0 else new
+            for get, set_ in pin:
+                self._saved.append((set_, get()))
+                set_(1)
             self._depth += 1
 
     def __exit__(self, *exc):
@@ -94,6 +131,7 @@ class _SingleBlasThread:
             if self._depth == 0:
                 for set_, count in self._saved:
                     set_(count)
+                self._saved = []
 
 
 # BLAS thread counts are process-wide, so there is one pin per process
@@ -179,8 +217,7 @@ def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
             value = float(np.linalg.svd(A, compute_uv=False)[0])
         return NormResult(value, "dense_eig", 0, np.finfo(float).eps * max(n, m))
 
-    with _single_blas_thread:
-        return _arpack_norm(M, symmetric, tol)
+    return _arpack_norm(M, symmetric, tol)
 
 
 def _arpack_norm(M, symmetric, tol):
@@ -207,17 +244,20 @@ def _arpack_norm(M, symmetric, tol):
         return matvec(z)
 
     op = LinearOperator((dim, dim), matvec=counted, dtype=float)
-    try:
-        w, v = eigsh(op, k=1, which="LM", tol=tol, v0=_start_vector(dim))
-    except ArpackNoConvergence as exc:
-        best = None
-        if len(exc.eigenvalues):
-            best = NormResult(float(np.abs(exc.eigenvalues).max()), "lanczos", calls, math.nan)
-        raise NonConvergenceError(
-            f"ARPACK did not reach tol={tol:g} after {calls} matvecs", best=best
-        ) from exc
-    lam, v = float(w[0]), v[:, 0]
-    rel = float(np.linalg.norm(matvec(v) - lam * v)) / abs(lam)
+    # entered after the import, which loads scipy's OpenBLAS: the pin then
+    # covers that library even when an outer pin was taken before it loaded
+    with _single_blas_thread:
+        try:
+            w, v = eigsh(op, k=1, which="LM", tol=tol, v0=_start_vector(dim))
+        except ArpackNoConvergence as exc:
+            best = None
+            if len(exc.eigenvalues):
+                best = NormResult(float(np.abs(exc.eigenvalues).max()), "lanczos", calls, math.nan)
+            raise NonConvergenceError(
+                f"ARPACK did not reach tol={tol:g} after {calls} matvecs", best=best
+            ) from exc
+        lam, v = float(w[0]), v[:, 0]
+        rel = float(np.linalg.norm(matvec(v) - lam * v)) / abs(lam)
     return NormResult(abs(lam), "lanczos", calls, rel)
 
 

@@ -1,0 +1,39 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python *args`` in a fresh interpreter that imports specbound from src/.
+
+    ``env`` entries override the inherited environment (OpenBLAS thread
+    counts, say).  Returns the CompletedProcess with text stdout/stderr;
+    a nonzero exit fails the test with the child's stderr.
+    """
+
+    def run(*args, env=None, timeout=120):
+        child_env = dict(os.environ)
+        child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        child_env.update(env or {})
+        proc = subprocess.run(
+            [sys.executable, *args], env=child_env, capture_output=True, text=True, timeout=timeout
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    return run
+
+
+@pytest.fixture
+def specbound_cli(fresh_python):
+    """Run ``python -m specbound.cli *argv`` in a fresh interpreter (see ``fresh_python``)."""
+
+    def run(*argv, env=None):
+        return fresh_python("-m", "specbound.cli", *argv, env=env)
+
+    return run

@@ -269,3 +269,22 @@ def test_cli_tails(tmp_path, capsys, monkeypatch):
 
 def test_cli_no_command_prints_help(capsys):
     assert main([]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--pattern", "wigner:512", "--trials", "20", "--seed", "3"),
+        ("report", "--pattern", "wigner:300", "--distribution", "rademacher", "--trials", "10"),
+    ],
+)
+def test_cli_dense_report_bytes_independent_of_blas_threads(specbound_cli, argv):
+    # dense LAPACK digits depend on OpenBLAS's thread count at n >= 256:
+    # every Monte Carlo trial and the rademacher ||B|| solve run on one
+    # BLAS thread, so neither the environment nor --threads changes stdout
+    runs = [
+        specbound_cli(*argv, "--threads", threads, env={"OPENBLAS_NUM_THREADS": blas})
+        for blas, threads in (("1", "1"), ("2", "1"), ("2", "2"))
+    ]
+    assert runs[0].stdout
+    assert all(r.stdout == runs[0].stdout for r in runs[1:])

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from specbound import coeffs, experiments, specnorm
+from specbound import bounds, coeffs, experiments, specnorm
 from specbound.errors import ParameterError
 from specbound.sampling import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
 
@@ -18,7 +18,8 @@ def test_estimate_zero_matrix():
 
 
 def test_estimate_deterministic_and_thread_invariant():
-    # n = 256 is large enough for OpenBLAS to split eigvalsh over its threads
+    # every trial runs on one BLAS thread, serial or pooled; at n = 256 a
+    # pooled eigvalsh on more BLAS threads would change the last digits
     for n in (24, 256):
         C = coeffs.wigner(n)
         a = experiments.estimate_expected_norm(C, GAUSSIAN, 16, seed=5, threads=1)
@@ -279,3 +280,22 @@ def test_bounds_vs_empirical_report_rademacher_includes_split_bound():
         coeffs.diagonal(32), RADEMACHER, 0.25, trials=40, seed=11
     )
     assert rep["upper_bounds"]["rademacher"]["value"] == 1.0
+
+
+def test_bounds_vs_empirical_report_computes_pattern_params_seven_times(monkeypatch):
+    # two lower values and five upper bounds, one structural_params pass each
+    calls = []
+    real = coeffs.structural_params
+
+    def counted(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(coeffs, "structural_params", counted)
+    monkeypatch.setattr(bounds, "structural_params", counted)
+    rep = experiments.bounds_vs_empirical_report(coeffs.wigner(64), GAUSSIAN, 0.25, trials=4, seed=1)
+    assert len(calls) == 7
+    assert sorted(rep["upper_bounds"]) == ["dimfree", "gordon", "main", "nck", "seginer"]
+    params = real(coeffs.wigner(64))
+    for name, entry in rep["upper_bounds"].items():
+        assert (entry["sigma"], entry["sigma_star"]) == (params.sigma, params.sigma_star), name

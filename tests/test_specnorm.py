@@ -1,3 +1,5 @@
+import json
+import os
 import sys
 import threading
 
@@ -7,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from specbound import coeffs, experiments, sampling, specnorm
+from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import DataError, NonConvergenceError, ParameterError, SizeError
 from specbound.specnorm import eigenvalues_all, max_row_norm, spectral_norm
 
@@ -297,3 +299,98 @@ def test_blas_pin_shared_by_threads(blas_two_threads):
 def test_blas_pin_restored_after_threaded_phase_scan(blas_two_threads):
     experiments.phase_scan("band", [256], "const:3", sampling.GAUSSIAN, trials=8, seed=2, threads=4)
     assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_run_trials_runs_every_trial_on_one_blas_thread(blas_two_threads, threads):
+    seen = []
+
+    def one(t):
+        seen.append(_counts(blas_two_threads))
+        return t
+
+    assert experiments._run_trials(one, 8, threads) == list(range(8))
+    assert seen == [[1] * len(blas_two_threads)] * 8
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_run_trials_restores_blas_threads_when_a_trial_raises(blas_two_threads, threads):
+    def one(t):
+        if t == 3:
+            raise NonConvergenceError("trial 3 failed")
+        return t
+
+    with pytest.raises(NonConvergenceError):
+        experiments._run_trials(one, 8, threads)
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+def test_density_and_rademacher_solves_run_on_one_blas_thread(blas_two_threads, monkeypatch):
+    real_eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def watched(a):
+        seen.append(_counts(blas_two_threads))
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", watched)
+    experiments.spectral_density_check(coeffs.band_cyclic(64, 3), sampling.GAUSSIAN, seed=1)
+    bounds.bound_rademacher(coeffs.wigner(64), 0.25)
+    assert seen == [[1] * len(blas_two_threads)] * 2
+    assert _counts(blas_two_threads) == [2] * len(blas_two_threads)
+
+
+# run in a fresh interpreter: importing this test module loads scipy's OpenBLAS
+_POOL_BEFORE_ARPACK = """
+import json, threading
+from specbound import coeffs, experiments, sampling, specnorm
+
+C = coeffs.band_cyclic(400, 2)
+seen, patched = [], threading.Lock()
+
+def one(t):
+    # the first ARPACK import of the process happens inside the pool's pin
+    import scipy.sparse.linalg as sla
+    with patched:
+        if not hasattr(sla.eigsh, "watched"):
+            real = sla.eigsh
+            def watched(*args, **kwargs):
+                seen.append([get() for get, _ in specnorm._openblas_handles()])
+                return real(*args, **kwargs)
+            watched.watched = True
+            sla.eigsh = watched
+    X = sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(1, t))
+    return specnorm.spectral_norm(X, symmetric=True).value
+
+before = [get() for get, _ in specnorm._openblas_handles()]
+experiments._run_trials(one, 4, 2)
+after = [get() for get, _ in specnorm._openblas_handles()]
+print(json.dumps({"before": before, "seen": seen, "after": after}))
+"""
+
+
+def test_pool_pin_covers_scipy_blas_loaded_inside_it(fresh_python):
+    out = json.loads(fresh_python("-c", _POOL_BEFORE_ARPACK, env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
+    if not out["before"] or out["before"][0] < 2:
+        pytest.skip("no bundled OpenBLAS library runs two threads here")
+    assert len(out["before"]) == len(out["after"]) - 1  # scipy's loads in the pool
+    assert out["seen"] == [[1] * len(out["after"])] * 4
+    assert out["after"] == [out["before"][0]] * len(out["after"])
+
+
+_DENSE_ONLY_REPORT = """
+import json
+import specbound as sb
+
+sb.bounds_vs_empirical_report(sb.wigner(64), sb.GAUSSIAN, 0.25, 4, 1, threads=2)
+with open("/proc/self/maps") as fh:
+    print(json.dumps(sorted({line.split()[-1].rsplit("/", 1)[-1] for line in fh if "openblas" in line})))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_pin_does_not_load_scipy_blas_in_a_dense_only_run(fresh_python):
+    mapped = json.loads(fresh_python("-c", _DENSE_ONLY_REPORT).stdout)
+    assert any(name.startswith("libscipy_openblas64_") for name in mapped)  # numpy's
+    assert not any(name.startswith("libscipy_openblas-") for name in mapped)
