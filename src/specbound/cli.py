@@ -28,19 +28,6 @@ from .specnorm import spectral_norm
 
 OUTPUT_DIR_ENV = "SPECBOUND_OUTPUT_DIR"
 
-COMMANDS = (
-    "bounds",
-    "sample",
-    "norm",
-    "moments",
-    "phase",
-    "tails",
-    "density",
-    "seginer",
-    "report",
-    "validate",
-)
-
 _NUMBER = (int, float)
 # manifest key -> accepted JSON type; [t] is a list of t
 _MANIFEST_TYPES = {
@@ -122,10 +109,7 @@ class RunManifest:
 def parse_pattern(spec):
     """Pattern syntax "name:params", e.g. band:4096,16 or wigner:1024."""
     name, _, rest = spec.partition(":")
-    params = [p for p in rest.split(",") if p] if rest else []
-    if name == "from_adjacency":
-        return coeffs_mod.build_pattern(name, params)
-    return coeffs_mod.build_pattern(name, [int(p) for p in params])
+    return coeffs_mod.build_pattern(name, [p for p in rest.split(",") if p])
 
 
 def _load_matrix(m):
@@ -378,16 +362,27 @@ def _cmd_report(m):
     return 0
 
 
-_DISPATCH = {
-    "bounds": _cmd_bounds,
-    "sample": _cmd_sample,
-    "norm": _cmd_norm,
-    "moments": _cmd_moments,
-    "phase": _cmd_phase,
-    "tails": _cmd_tails,
-    "density": _cmd_density,
-    "seginer": _cmd_seginer,
-    "report": _cmd_report,
+# name -> (handler, help), in subcommand order; execute runs validate itself
+COMMANDS = {
+    "bounds": (_cmd_bounds, "closed-form expected-norm bounds: (1+eps){2 sigma + c(eps) sigma* sqrt(log n)}, "
+               "reference curves sigma sqrt(log n) and sigma* sqrt(n), dimension-free and "
+               "Rademacher/split variants"),
+    "sample": (_cmd_sample, "draw one X_ij = xi_ij b_ij realization and write it as CSV"),
+    "norm": (_cmd_norm, "spectral norm of one realization (dense eigensolver or ARPACK Lanczos)"),
+    "moments": (_cmd_moments, "exact even-cycle census and the trace-moment comparison "
+                "E Tr[X^2p] <= n/(ceil(sigma^2)+p) E Tr[Y^2p]"),
+    "phase": (_cmd_phase, "sparse-pattern scan of ||X||/sqrt(k): tends to 2 when k/log n grows, "
+              "diverges when k/log n vanishes"),
+    "tails": (_cmd_tails, "empirical survival of ||X|| against exp(-t^2/4 sigma*^2) and the "
+              "variance-based n exp(-t^2/c sigma*^2) tail curves"),
+    "density": (_cmd_density, "Kolmogorov-Smirnov distance of the spectrum of X/sqrt(k) to the "
+                "semicircle law (equal row degrees required)"),
+    "seginer": (_cmd_seginer, "block-diagonal scaling study: E||X||/sqrt(log n) stays bounded for "
+                "k = ceil(sqrt(log n)) blocks of Rademacher entries; blocks are solved exactly, "
+                "so --tol is not used"),
+    "report": (_cmd_report, "explicit lower bound vs MC norm vs upper bounds, plus the unasserted "
+               "structural value sigma + E max|b g| and max-column-norm ratio diagnostics"),
+    "validate": (None, "check a manifest's preconditions without executing it"),
 }
 
 
@@ -399,7 +394,7 @@ def execute(m):
     report = validate(m)
     if not report["valid"]:
         raise ParameterError("; ".join(report["violations"]))
-    return _DISPATCH[m.command](m)
+    return COMMANDS[m.command][0](m)
 
 
 def _add_common(sub):
@@ -431,29 +426,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command")
 
-    helps = {
-        "bounds": "closed-form expected-norm bounds: (1+eps){2 sigma + c(eps) sigma* sqrt(log n)}, "
-        "reference curves sigma sqrt(log n) and sigma* sqrt(n), dimension-free and "
-        "Rademacher/split variants",
-        "sample": "draw one X_ij = xi_ij b_ij realization and write it as CSV",
-        "norm": "spectral norm of one realization (dense eigensolver or ARPACK Lanczos)",
-        "moments": "exact even-cycle census and the trace-moment comparison "
-        "E Tr[X^2p] <= n/(ceil(sigma^2)+p) E Tr[Y^2p]",
-        "phase": "sparse-pattern scan of ||X||/sqrt(k): tends to 2 when k/log n grows, "
-        "diverges when k/log n vanishes",
-        "tails": "empirical survival of ||X|| against exp(-t^2/4 sigma*^2) and the "
-        "variance-based n exp(-t^2/c sigma*^2) tail curves",
-        "density": "Kolmogorov-Smirnov distance of the spectrum of X/sqrt(k) to the "
-        "semicircle law (equal row degrees required)",
-        "seginer": "block-diagonal scaling study: E||X||/sqrt(log n) stays bounded for "
-        "k = ceil(sqrt(log n)) blocks of Rademacher entries; blocks are solved exactly, "
-        "so --tol is not used",
-        "report": "explicit lower bound vs MC norm vs upper bounds, plus the unasserted "
-        "structural value sigma + E max|b g| and max-column-norm ratio diagnostics",
-        "validate": "check a manifest's preconditions without executing it",
-    }
-    for cmd in COMMANDS:
-        s = sub.add_parser(cmd, help=helps[cmd], description=helps[cmd])
+    for cmd, (_, text) in COMMANDS.items():
+        s = sub.add_parser(cmd, help=text, description=text)
         _add_common(s)
         if cmd == "moments":
             s.add_argument("moments_action", nargs="?", choices=["census", "verify"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,6 @@ from .specnorm import row_col_sumsq
 
 SPARSE_FILL_THRESHOLD = 0.05
 FILE_SYMMETRY_TOL = 1e-12
-
-PATTERN_NAMES = (
-    "wigner",
-    "diagonal",
-    "band",
-    "band_cyclic",
-    "block_diagonal",
-    "single_entry",
-    "log_decay_diagonal",
-    "from_adjacency",
-)
 
 
 @dataclass(frozen=True)
@@ -179,27 +169,17 @@ def wigner(n):
 def diagonal(n):
     """Identity pattern."""
     n = _check_dim(n)
-    idx = np.arange(n)
-    return _pack(idx, idx, np.ones(n), n, n, "symmetric")
+    return _store(sp.eye_array(n, format="csr"), n, "symmetric")
 
 
 def band(n, k):
-    """b_ij = 1 iff |i - j| <= k."""
+    """b_ij = 1 iff |i - j| <= k: the 2k + 1 diagonals -k .. k."""
     n = _check_dim(n)
     if not 0 <= k < n:
         raise ParameterError(f"band requires 0 <= k < n, got k={k}, n={n}")
-    rows, cols = [], []
-    idx = np.arange(n)
-    for d in range(0, int(k) + 1):
-        i = idx[: n - d]
-        rows.append(i)
-        cols.append(i + d)
-        if d > 0:
-            rows.append(i + d)
-            cols.append(i)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    return _pack(r, c, np.ones(len(r)), n, n, "symmetric")
+    k = int(k)
+    mat = sp.diags_array([1.0] * (2 * k + 1), offsets=range(-k, k + 1), shape=(n, n), format="csr")
+    return _store(mat, mat.nnz, "symmetric")
 
 
 def band_cyclic(n, k):
@@ -229,14 +209,8 @@ def block_diagonal(n, k):
     k = _check_dim(k)
     if n % k != 0:
         raise ParameterError(f"block_diagonal requires k | n, got n={n}, k={k}")
-    nblocks = n // k
-    base = np.arange(k)
-    i = np.repeat(base, k)
-    j = np.tile(base, k)
-    offs = np.repeat(np.arange(nblocks) * k, k * k)
-    rows = offs + np.tile(i, nblocks)
-    cols = offs + np.tile(j, nblocks)
-    return _pack(rows, cols, np.ones(len(rows)), n, n, "symmetric")
+    # I_(n/k) (x) J_k
+    return _store(sp.kron(sp.eye_array(n // k), np.ones((k, k)), format="csr"), n * k, "symmetric")
 
 
 def single_entry(n):
@@ -257,8 +231,7 @@ def log_decay_diagonal(n):
     vals = np.ones(n)
     if n > 1:
         vals[1:] = np.minimum(1.0, 1.0 / np.sqrt(np.log(i[1:])))
-    idx = np.arange(n)
-    return _pack(idx, idx, vals, n, n, "symmetric")
+    return _store(sp.diags_array(vals, format="csr"), n, "symmetric")
 
 
 def from_adjacency(path):
@@ -266,25 +239,38 @@ def from_adjacency(path):
     return load_dense_csv(path, kind="symmetric")
 
 
+# name -> (builder, number of parameters); the registry of named patterns
+PATTERNS = {
+    "wigner": (wigner, 1),
+    "diagonal": (diagonal, 1),
+    "band": (band, 2),
+    "band_cyclic": (band_cyclic, 2),
+    "block_diagonal": (block_diagonal, 2),
+    "single_entry": (single_entry, 1),
+    "log_decay_diagonal": (log_decay_diagonal, 1),
+    "from_adjacency": (from_adjacency, 1),
+}
+
+
+def _int_param(kind, p):
+    """An integer pattern parameter, given as an integer or as its decimal text."""
+    try:
+        return int(p) if isinstance(p, str) else operator.index(p)
+    except (TypeError, ValueError):
+        raise ParameterError(f"pattern {kind} takes integer parameters, got {p!r}") from None
+
+
 def build_pattern(kind, params=()):
-    """Build a named pattern; ``params`` holds its integer arguments."""
-    builders = {
-        "wigner": wigner,
-        "diagonal": diagonal,
-        "band": band,
-        "band_cyclic": band_cyclic,
-        "block_diagonal": block_diagonal,
-        "single_entry": single_entry,
-        "log_decay_diagonal": log_decay_diagonal,
-        "from_adjacency": from_adjacency,
-    }
-    if kind not in builders:
-        raise ParameterError(
-            f"unknown pattern {kind!r}; expected one of {', '.join(PATTERN_NAMES)}"
-        )
+    """Build a named pattern from its parameters: integers (or their text),
+    or the file path of ``from_adjacency``."""
+    if kind not in PATTERNS:
+        raise ParameterError(f"unknown pattern {kind!r}; expected one of {', '.join(PATTERNS)}")
+    builder, arity = PATTERNS[kind]
+    if len(params) != arity:
+        raise ParameterError(f"pattern {kind} takes {arity} parameter(s), got {len(params)}")
     if kind == "from_adjacency":
-        return from_adjacency(*params)
-    return builders[kind](*[int(p) for p in params])
+        return builder(*params)
+    return builder(*[_int_param(kind, p) for p in params])
 
 
 # -- structural parameters --------------------------------------------------

@@ -141,19 +141,14 @@ class PhaseGridResult:
     rows: list = field(default_factory=list)  # dicts: n, k, ratio_mean, ...
 
     def write_csv(self, path):
-        cols = ["n", "k", "ratio_mean", "ratio_stderr", "k_rule"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row in self.rows:
-                w.writerow([row["n"], row["k"], repr(row["ratio_mean"]), repr(row["ratio_stderr"]), row["k_rule"]])
+        write_rows_csv(self.rows, path)
 
 
-def _max_row_degree(C):
+def _row_degrees(C):
+    """Number of nonzeros in each row of the pattern; stored zeros do not count."""
     if C.is_sparse:
-        a = C.data
-        return int(np.diff(a.indptr).max())
-    return int(np.count_nonzero(C.toarray(), axis=1).max())
+        return C.data.count_nonzero(axis=1)
+    return np.count_nonzero(C.data, axis=1)
 
 
 def phase_scan(
@@ -188,7 +183,7 @@ def phase_scan(
             C = (coeffs_mod.band_cyclic if band_variant == "cyclic" else coeffs_mod.band)(n, half)
         else:
             C = regular_random_pattern(n, k, seed + cell)
-        degree = _max_row_degree(C)
+        degree = int(_row_degrees(C).max())
         norms = _trial_norms(C, dist, seed, trials, tol, threads, first=cell * trials)
         est = NormEstimate.from_values(np.asarray(norms) / math.sqrt(degree), seed)
         result.rows.append(
@@ -249,10 +244,7 @@ def spectral_density_check(C, dist, seed):
     """
     if C.kind != "symmetric":
         raise ParameterError("density check expects a symmetric pattern")
-    if C.is_sparse:
-        degrees = np.diff(C.data.indptr)
-    else:
-        degrees = np.count_nonzero(C.toarray(), axis=1)
+    degrees = _row_degrees(C)
     if degrees.size == 0 or degrees.min() != degrees.max():
         raise ParameterError("density check requires exactly k nonzeros in every row")
     k = int(degrees[0])
@@ -337,14 +329,17 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
         upper["main"] = bounds_mod.bound_main(C, epsilon)
         upper["nck"] = bounds_mod.bound_reference(C, "nck")
         upper["gordon"] = bounds_mod.bound_reference(C, "gordon")
-        upper["dimfree"] = bounds_mod.bound_dimfree(C, 1.0)
-        if C.rows >= 2:
+        # an all-zero pattern has neither bound, as in the bounds command
+        if upper["main"].sigma_star > 0:
+            upper["dimfree"] = bounds_mod.bound_dimfree(C, 1.0)
+        if C.rows >= 2 and upper["main"].sigma > 0:
             upper["seginer"] = bounds_mod.bound_seginer(C)
         if dist.family == "rademacher":
             upper["rademacher"] = bounds_mod.bound_rademacher(C, epsilon)
     else:
         upper["rect"] = bounds_mod.bound_rect(C, epsilon)
-        upper["dimfree"] = bounds_mod.bound_dimfree(C, 1.0)
+        if upper["rect"].sigma_star > 0:
+            upper["dimfree"] = bounds_mod.bound_dimfree(C, 1.0)
 
     failures = []
     combined_se = math.hypot(lower.std_error, norm_est.std_error)

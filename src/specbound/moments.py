@@ -15,6 +15,7 @@ i times.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -52,10 +53,6 @@ class CycleShape:
     m: int
     edge_multiplicities: tuple  # sorted ((multiplicity, count), ...)
 
-    @property
-    def length(self):
-        return len(self.seq)
-
     def multiplicity_counts(self):
         """n_i(s) as a dict {i: count}."""
         return dict(self.edge_multiplicities)
@@ -73,10 +70,6 @@ class BipartiteShape:
     m1: int
     m2: int
     edge_multiplicities: tuple
-
-    @property
-    def half_length(self):
-        return len(self.seq) // 2
 
     def multiplicity_counts(self):
         return dict(self.edge_multiplicities)
@@ -361,29 +354,19 @@ def shape_weight_check(C, s, u):
     if not 0 <= u < n:
         raise ParameterError(f"start vertex {u} out of range")
     A = C.toarray()
-    seq = s.seq
-    L = len(seq)
+    L = len(s.seq)
+    steps = [(s.seq[idx] - 1, s.seq[(idx + 1) % L] - 1) for idx in range(L)]
     others = [v for v in range(n) if v != u]
     total = 0.0
-
-    def rec(next_label, assigned, pool):
-        nonlocal total
-        if next_label > m:
-            prod = 1.0
-            for idx in range(L):
-                a = assigned[seq[idx] - 1]
-                b = assigned[seq[(idx + 1) % L] - 1]
-                prod *= A[a, b]
-                if prod == 0.0:
-                    return
-            total += prod
-            return
-        for idx, cand in enumerate(pool):
-            assigned.append(cand)
-            rec(next_label + 1, assigned, pool[:idx] + pool[idx + 1 :])
-            assigned.pop()
-
-    rec(2, [u], others)
+    # injective maps of the labels 2..m into the other vertices, in lexicographic order
+    for rest in itertools.permutations(others, m - 1):
+        phi = (u, *rest)
+        prod = 1.0
+        for a, b in steps:
+            prod *= A[phi[a], phi[b]]
+            if prod == 0.0:
+                break
+        total += prod  # adding a zero product leaves total's bits unchanged
     rhs = params.sigma ** (2 * (m - 1))
     return total, rhs
 

@@ -298,7 +298,7 @@ class NormEstimate:
     per_trial_values: Optional[np.ndarray] = None
 
     @staticmethod
-    def from_values(values, seed, offset=0.0, keep_values=True):
+    def from_values(values, seed, offset=0.0):
         values = np.asarray(values, dtype=float)
         n = values.size
         se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -307,5 +307,5 @@ class NormEstimate:
             std_error=se,
             trials=n,
             seed=seed,
-            per_trial_values=values if keep_values else None,
+            per_trial_values=values,
         )

@@ -283,14 +283,14 @@ def max_row_norm(M):
     return float(math.sqrt(top))
 
 
-def eigenvalues_all(M, dense_cap=EIG_DENSE_THRESHOLD):
+def eigenvalues_all(M):
     """Full spectrum of a symmetric matrix, descending."""
     n, m = M.shape
     if n != m or not _is_symmetric(M):
         raise ParameterError("eigenvalues_all expects a symmetric matrix")
-    if n > dense_cap:
+    if n > EIG_DENSE_THRESHOLD:
         raise SizeError(
-            f"n={n} exceeds the dense cap {dense_cap}; sample Ritz values instead"
+            f"n={n} exceeds the dense cap {EIG_DENSE_THRESHOLD}; sample Ritz values instead"
         )
     A = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
     w = np.linalg.eigvalsh(A)

@@ -244,6 +244,28 @@ def test_cli_manifest_value_types(tmp_path, capsys, key, value):
         RunManifest.from_dict(dict(data, **{key: value}))
 
 
+@pytest.mark.parametrize("spec", ["band:abc", "band:5", "band:5,2,7", "wigner:x"])
+def test_cli_malformed_pattern_spec(capsys, spec):
+    code, out, err = run_cli(capsys, "bounds", "--pattern", spec)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("kind, shape", [("symmetric", (5, 5)), ("rectangular", (4, 6))])
+def test_cli_report_zero_pattern(tmp_path, capsys, kind, shape):
+    # no dimension-free or Seginer bound exists for an all-zero pattern
+    path = tmp_path / "zero.csv"
+    path.write_text("\n".join([",".join(["0"] * shape[1])] * shape[0]) + "\n")
+    code, out, _ = run_cli(
+        capsys, "report", "--matrix-file", str(path), "--matrix-kind", kind, "--trials", "4"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["mc_norm_mean"] == 0.0
+    assert not {"dimfree", "seginer"} & set(payload["upper_bounds"])
+    assert ("main" if kind == "symmetric" else "rect") in payload["upper_bounds"]
+
+
 @pytest.mark.parametrize("rule", ["const:x", "c_log:abc", "const:0"])
 def test_cli_malformed_k_rule(capsys, rule):
     code, out, err = run_cli(capsys, "phase", "--pattern", "band", "--n", "64", "--k-rule", rule, "--trials", "2")

@@ -88,6 +88,74 @@ def test_band_cyclic_matches_coo_construction(n, k):
         assert np.array_equal(C.toarray(), ref.toarray())
 
 
+# the index-arithmetic builders that the scipy constructors replaced
+def _reference_diagonal(n):
+    idx = np.arange(n)
+    return coeffs._pack(idx, idx, np.ones(n), n, n, "symmetric")
+
+
+def _reference_band(n, k):
+    rows, cols = [], []
+    idx = np.arange(n)
+    for d in range(0, int(k) + 1):
+        i = idx[: n - d]
+        rows.append(i)
+        cols.append(i + d)
+        if d > 0:
+            rows.append(i + d)
+            cols.append(i)
+    r = np.concatenate(rows)
+    c = np.concatenate(cols)
+    return coeffs._pack(r, c, np.ones(len(r)), n, n, "symmetric")
+
+
+def _reference_block_diagonal(n, k):
+    nblocks = n // k
+    base = np.arange(k)
+    i = np.repeat(base, k)
+    j = np.tile(base, k)
+    offs = np.repeat(np.arange(nblocks) * k, k * k)
+    rows = offs + np.tile(i, nblocks)
+    cols = offs + np.tile(j, nblocks)
+    return coeffs._pack(rows, cols, np.ones(len(rows)), n, n, "symmetric")
+
+
+def _reference_log_decay_diagonal(n):
+    i = np.arange(1, n + 1, dtype=float)
+    vals = np.ones(n)
+    if n > 1:
+        vals[1:] = np.minimum(1.0, 1.0 / np.sqrt(np.log(i[1:])))
+    idx = np.arange(n)
+    return coeffs._pack(idx, idx, vals, n, n, "symmetric")
+
+
+BUILDER_CASES = [
+    # band: k = 0, k = n - 1, and (100, 2) / (100, 3) on either side of the 5% fill switch
+    *[(coeffs.band, _reference_band, a) for a in
+      [(1, 0), (100, 0), (100, 2), (100, 3), (100, 99), (300, 7), (4096, 16)]],
+    # block_diagonal: (40, 1) / (40, 2) and (200, 8) / (200, 10) straddle the switch
+    *[(coeffs.block_diagonal, _reference_block_diagonal, a) for a in
+      [(1, 1), (40, 1), (40, 2), (200, 8), (200, 10), (2**14, 4)]],
+    # diagonal patterns switch to CSR above n = 20
+    *[(coeffs.diagonal, _reference_diagonal, (n,)) for n in [1, 20, 21, 1000]],
+    *[(coeffs.log_decay_diagonal, _reference_log_decay_diagonal, (n,)) for n in [1, 2, 20, 21, 500]],
+]
+
+
+@pytest.mark.parametrize(
+    "builder, reference, args", BUILDER_CASES, ids=[f"{b.__name__}{a}" for b, _, a in BUILDER_CASES]
+)
+def test_builder_matches_index_arithmetic_reference(builder, reference, args):
+    C, ref = builder(*args), reference(*args)
+    assert C.is_sparse == ref.is_sparse and type(C.data) is type(ref.data)
+    if C.is_sparse:
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(C.data, attr), getattr(ref.data, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
+    else:
+        assert C.data.dtype == ref.data.dtype and np.array_equal(C.data, ref.data)
+
+
 @pytest.mark.parametrize(
     "builder,args",
     [
@@ -105,8 +173,11 @@ def test_invalid_dimensions_raise(builder, args):
 
 def test_build_pattern_dispatch():
     assert coeffs.build_pattern("band", [7, 1]).nnz == 19
-    with pytest.raises(ParameterError):
-        coeffs.build_pattern("unknown_thing", [3])
+    assert coeffs.build_pattern("band", ["7", "1"]).nnz == 19
+    for kind, params in [("unknown_thing", [3]), ("band", [7]), ("band", [7, 1, 2]), ("band", ["7", "x"]),
+                         ("wigner", [2.5]), ("wigner", ["2.5"]), ("from_adjacency", [])]:
+        with pytest.raises(ParameterError):
+            coeffs.build_pattern(kind, params)
 
 
 def test_sparse_storage_threshold():

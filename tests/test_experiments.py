@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specbound import bounds, coeffs, experiments, specnorm
 from specbound.errors import ParameterError
@@ -94,7 +95,23 @@ def test_phase_scan_band_small():
         assert row["k_rule"] == "const:3"
     # ratios against the true degree: cyclic band rows all have 2*1+1 entries
     C = coeffs.band_cyclic(128, 1)
-    assert experiments._max_row_degree(C) == 3
+    assert np.array_equal(experiments._row_degrees(C), np.full(128, 3))
+
+
+def test_row_degrees_skip_stored_zeros():
+    # cyclic 3-band on 12 vertices plus a symmetric pair of stored zeros at (0, 5), (5, 0)
+    n = 12
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx, (idx + 1) % n, [0, 5]])
+    cols = np.concatenate([idx, (idx + 1) % n, idx, [5, 0]])
+    vals = np.concatenate([np.ones(3 * n), [0.0, 0.0]])
+    M = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    sparse = coeffs.CoefficientMatrix(M, "symmetric")
+    dense = coeffs.CoefficientMatrix(M.toarray(), "symmetric")
+    assert sparse.is_sparse and sparse.data.nnz == 3 * n + 2
+    for C in (sparse, dense):
+        assert np.array_equal(experiments._row_degrees(C), np.full(n, 3))
+        assert 0.0 < experiments.spectral_density_check(C, GAUSSIAN, seed=3) < 1.0
 
 
 def test_phase_scan_regular_random():
@@ -186,6 +203,11 @@ def test_phase_grid_csv_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "n,k,ratio_mean,ratio_stderr,k_rule"
     assert len(text) == 2
+    row = grid.rows[0]
+    fields = [row["n"], row["k"], repr(row["ratio_mean"]), repr(row["ratio_stderr"]), row["k_rule"]]
+    assert text[1] == ",".join(str(f) for f in fields)
+    with pytest.raises(ParameterError):
+        experiments.PhaseGridResult().write_csv(tmp_path / "empty.csv")
 
 
 def test_tail_empirics_wigner_small():
