@@ -235,7 +235,7 @@ def _max_entry_maxima(C, trials, seed):
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    b, _, _ = sampling._plan(C)  # the sampling contract order
+    b = sampling.contract_values(C)
     b = abs(b[b != 0])
     if b.size == 0:
         return []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -52,6 +53,15 @@ _MANIFEST_TYPES = {
     "moments_action": str,
     "band_variant": str,
 }
+
+
+def _json(obj, **kwargs):
+    """JSON text of obj; a NaN or infinite float raises, since JSON has neither."""
+    return json.dumps(obj, allow_nan=False, **kwargs)
+
+
+def _is_finite(value):
+    return all(math.isfinite(v) for v in (value if isinstance(value, list) else [value]) if isinstance(v, float))
 
 
 def _has_type(value, kind):
@@ -98,6 +108,9 @@ class RunManifest:
                 continue
             if not _has_type(value, _MANIFEST_TYPES[key]):
                 raise ParameterError(f"manifest key {key!r} has the wrong type: {value!r}")
+            if not _is_finite(value):
+                # the manifest is echoed as JSON, which has no NaN or Infinity
+                raise ParameterError(f"manifest key {key!r} must be finite: {value!r}")
         return RunManifest(**data)
 
     def content_hash(self):
@@ -131,8 +144,7 @@ def _out_path(m, default_name):
 def _write_manifest_echo(m, path):
     echo = {"manifest": asdict(m), "content_hash": m.content_hash()}
     with open(path, "w") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(echo, indent=2, sort_keys=True) + "\n")
 
 
 def validate(m):
@@ -212,12 +224,11 @@ def _cmd_bounds(m):
     if coeffs_mod.structural_params(C).sigma_star > 0:
         reports.append(bounds_mod.bound_dimfree(C, float(m.p) if m.p else 1.0))
     payload = [r.to_json() for r in reports]
-    print(json.dumps(payload, indent=2))
+    print(_json(payload, indent=2))
     if m.output:
         path = _out_path(m, "bounds.json")
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json(payload, indent=2, sort_keys=True) + "\n")
         _write_manifest_echo(m, path + ".manifest.json")
     return 0
 
@@ -229,7 +240,7 @@ def _cmd_sample(m):
     path = _out_path(m, "sample.csv")
     coeffs_mod.write_matrix_csv(X, path, symmetric=C.kind == "symmetric")
     _write_manifest_echo(m, path + ".manifest.json")
-    print(json.dumps({"written": path, "rows": C.rows, "cols": C.cols}))
+    print(_json({"written": path, "rows": C.rows, "cols": C.cols}))
     return 0
 
 
@@ -238,7 +249,7 @@ def _cmd_norm(m):
     X = sample_matrix(C, distribution_from_code(m.distribution), SeedSpec(m.seed, 0))
     res = spectral_norm(X, tol=m.tol)
     print(
-        json.dumps(
+        _json(
             {
                 "value": res.value,
                 "method": res.method,
@@ -263,7 +274,7 @@ def _cmd_moments(m):
             "bipartite_census_size": len(bip),
             "max_distinct_vertices": max(s.m for s in shapes),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload, indent=2))
         return 0
     C = _load_matrix(m)
     lhs, rhs, holds = moments_mod.verify_comparison(C, p)
@@ -279,7 +290,7 @@ def _cmd_moments(m):
     if exact:
         payload["lhs_exact"] = str(lhs)
         payload["rhs_exact"] = str(rhs)
-    print(json.dumps(payload, indent=2))
+    print(_json(payload, indent=2))
     if not holds:
         raise GuaranteeError("trace-moment comparison failed")
     return 0
@@ -306,7 +317,7 @@ def _cmd_phase(m):
     path = _out_path(m, "phase.csv")
     grid.write_csv(path)
     _write_manifest_echo(m, path + ".manifest.json")
-    print(json.dumps({"written": path, "cells": len(grid.rows)}))
+    print(_json({"written": path, "cells": len(grid.rows)}))
     return 0
 
 
@@ -320,7 +331,7 @@ def _cmd_tails(m):
     path = _out_path(m, "tails.csv")
     exp_mod.write_rows_csv(rows, path)
     _write_manifest_echo(m, path + ".manifest.json")
-    print(json.dumps({"written": path, "points": len(rows)}))
+    print(_json({"written": path, "points": len(rows)}))
     return 0
 
 
@@ -328,7 +339,7 @@ def _cmd_density(m):
     C = _load_matrix(m)
     dist = distribution_from_code(m.distribution)
     ks = exp_mod.spectral_density_check(C, dist, m.seed)
-    print(json.dumps({"ks_distance": ks}))
+    print(_json({"ks_distance": ks}))
     return 0
 
 
@@ -340,7 +351,7 @@ def _cmd_seginer(m):
     path = _out_path(m, "seginer.csv")
     exp_mod.write_rows_csv(rows, path)
     _write_manifest_echo(m, path + ".manifest.json")
-    print(json.dumps({"written": path, "cells": len(rows)}))
+    print(_json({"written": path, "cells": len(rows)}))
     return 0
 
 
@@ -350,7 +361,7 @@ def _cmd_report(m):
     rep = exp_mod.bounds_vs_empirical_report(
         C, dist, m.epsilon, m.trials, m.seed, tol=m.tol, threads=_threads(m)
     )
-    text = json.dumps(rep, indent=2, sort_keys=True)
+    text = _json(rep, indent=2, sort_keys=True)
     print(text)
     if m.output:
         path = _out_path(m, "report.json")
@@ -389,7 +400,7 @@ COMMANDS = {
 def execute(m):
     """Run a validated manifest; returns the process exit status."""
     if m.command == "validate":
-        print(json.dumps(validate(m), indent=2))
+        print(_json(validate(m), indent=2))
         return 0
     report = validate(m)
     if not report["valid"]:
@@ -484,7 +495,7 @@ def _err(exc):
     if best is not None:
         value = getattr(best, "value", None)
         payload["best_estimate"] = value if value is not None else getattr(best, "mean", None)
-    print(json.dumps(payload), file=sys.stderr)
+    print(_json(payload), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -44,20 +44,7 @@ class CoefficientMatrix:
         if kind not in ("symmetric", "rectangular"):
             raise ParameterError(f"unknown kind {kind!r}")
         if sp.issparse(entries):
-            data = entries.tocsr()
-            data.sum_duplicates()
-            data.sort_indices()
-            if max(data.nnz, *data.shape) < 2**31:
-                # half the index bytes of int64, and samples, plans and
-                # transposes inherit the width
-                data = type(data)(
-                    (
-                        data.data,
-                        data.indices.astype(np.int32, copy=False),
-                        data.indptr.astype(np.int32, copy=False),
-                    ),
-                    shape=data.shape,
-                )
+            data = _canonical_csr(entries)
             values = data.data
         else:
             data = np.asarray(entries, dtype=float)
@@ -69,25 +56,9 @@ class CoefficientMatrix:
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("entries must be finite")
         if kind == "symmetric":
-            n, m = data.shape
-            if n != m:
+            if data.shape[0] != data.shape[1]:
                 raise ParameterError("symmetric pattern must be square")
-            if sp.issparse(data):
-                T = data.T.tocsr()
-                if np.array_equal(T.indptr, data.indptr) and np.array_equal(T.indices, data.indices):
-                    # same structure: the gap is slot by slot, in T's buffer
-                    np.subtract(data.data, T.data, out=T.data)
-                    gap = np.abs(T.data, out=T.data).max() if T.nnz else 0.0
-                else:
-                    # a one-sided explicit zero or an asymmetric pattern
-                    asym = abs(data - T)
-                    gap = asym.data.max() if asym.nnz else 0.0
-            else:
-                gap = np.abs(data - data.T).max() if n else 0.0
-            if gap > sym_tol:
-                raise DataError(
-                    f"pattern is not symmetric (max asymmetry {gap:g} > tol {sym_tol:g})"
-                )
+            data = _mirrored_exactly(data, sym_tol)
         if isinstance(data, np.ndarray):
             data = data.copy()
             data.setflags(write=False)
@@ -139,6 +110,71 @@ class CoefficientMatrix:
             f"CoefficientMatrix({self.rows}x{self.cols}, {self.kind}, "
             f"{storage}, nnz={self.nnz})"
         )
+
+
+def _canonical_csr(M):
+    """M as a canonical CSR, with int32 indices where they fit."""
+    data = M.tocsr()
+    data.sum_duplicates()
+    data.sort_indices()
+    if max(data.nnz, *data.shape) < 2**31:
+        # half the index bytes of int64, and samples, plans and
+        # transposes inherit the width
+        data = type(data)(
+            (
+                data.data,
+                data.indices.astype(np.int32, copy=False),
+                data.indptr.astype(np.int32, copy=False),
+            ),
+            shape=data.shape,
+        )
+    return data
+
+
+def _mirrored_exactly(data, sym_tol):
+    """A square pattern that is symmetric within ``sym_tol``, stored exactly mirrored.
+
+    A pattern whose two triangles already agree bit for bit, stored slots
+    included, is returned as it is.  Otherwise the gap max |b_ij - b_ji| is
+    checked against ``sym_tol`` and the pattern rebuilt from its upper
+    triangle, so that every stored b_ji is b_ij itself: a one-sided stored
+    zero is mirrored (above the diagonal) or dropped (below it), and a
+    nonzero gap within the tolerance takes the upper value.  Sampling
+    relies on this: a sample is the variates times the stored values.
+    """
+    dense = not sp.issparse(data)
+    if dense:
+        bits = data.view(np.int64)  # bitwise, so that -0.0 and 0.0 differ too
+        if np.array_equal(bits, bits.T):
+            return data
+        gap = np.abs(data - data.T).max()
+    else:
+        T = data.T.tocsr()
+        if np.array_equal(T.indptr, data.indptr) and np.array_equal(T.indices, data.indices):
+            if np.array_equal(T.data.view(np.int64), data.data.view(np.int64)):
+                return data
+            # same structure: the gap is slot by slot, in T's buffer
+            np.subtract(data.data, T.data, out=T.data)
+            gap = np.abs(T.data, out=T.data).max()
+        else:
+            # a one-sided explicit zero or an asymmetric pattern
+            asym = abs(data - T)
+            gap = asym.data.max() if asym.nnz else 0.0
+        del T
+    if gap > sym_tol:
+        raise DataError(f"pattern is not symmetric (max asymmetry {gap:g} > tol {sym_tol:g})")
+    if dense:
+        return np.where(np.tri(data.shape[0], k=-1, dtype=bool), data.T, data)
+    U = sp.triu(data, format="coo")
+    off = U.row != U.col
+    mirrored = sp.coo_array(
+        (
+            np.concatenate([U.data, U.data[off]]),
+            (np.concatenate([U.row, U.col[off]]), np.concatenate([U.col, U.row[off]])),
+        ),
+        shape=data.shape,
+    )
+    return _canonical_csr(mirrored)
 
 
 def _pack(rows, cols, vals, n, m, kind):
@@ -194,12 +230,14 @@ def band_cyclic(n, k):
         raise ParameterError(f"band_cyclic requires 0 <= 2k+1 <= n, got k={k}, n={n}")
     k = int(k)
     w = 2 * k + 1
-    # row i holds columns i-k .. i+k mod n, distinct since w <= n; int32
-    # is the pattern's index width, so the CSR takes cols without a copy
-    cols = np.arange(n, dtype=np.int32)[:, None] + np.arange(-k, k + 1, dtype=np.int32)
+    # row i holds columns i-k .. i+k mod n, distinct since w <= n; with
+    # indptr and cols both in the pattern's index width, the CSR and the
+    # pattern take cols without a copy
+    idx = np.int32 if n * w < 2**31 else np.int64
+    cols = np.arange(n, dtype=idx)[:, None] + np.arange(-k, k + 1, dtype=idx)
     cols %= n
     cols.sort(axis=1)
-    mat = sp.csr_array((np.ones(n * w), cols.ravel(), np.arange(0, n * w + 1, w)), shape=(n, n))
+    mat = sp.csr_array((np.ones(n * w), cols.ravel(), np.arange(0, n * w + 1, w, dtype=idx)), shape=(n, n))
     return _store(mat, n * w, "symmetric")
 
 

@@ -370,8 +370,9 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
         "mc_norm_mean": norm_est.mean,
         "mc_norm_stderr": norm_est.std_error,
         "mc_max_col_norm_mean": maxrow_est.mean,
+        # None (JSON null) where the ratio is 0/0: JSON has no NaN
         "column_ratio_diagnostic": (
-            norm_est.mean / maxrow_est.mean if maxrow_est.mean > 0 else math.nan
+            norm_est.mean / maxrow_est.mean if maxrow_est.mean > 0 else None
         ),
         "upper_bounds": {name: rep.to_json() for name, rep in upper.items()},
         "failures": failures,

@@ -10,6 +10,13 @@ Symmetric patterns consume one variate per upper-triangle nonzero in
 row-major order and mirror it below the diagonal; rectangular patterns
 consume one variate per stored nonzero in row-major order (all entries for
 dense storage).
+
+A pattern compiles once into a plan that holds no values: the variate
+count and, for a symmetric pattern, the gather from variates to slots.  A
+sample is the variates read through the gather and multiplied in place by
+the pattern's stored values, which ``CoefficientMatrix`` keeps exactly
+mirrored; a sparse sample shares the pattern's index arrays as read-only
+views.  So a trial holds the pattern, the plan and one sample's values.
 """
 
 from __future__ import annotations
@@ -122,7 +129,8 @@ def draw_entries(dist, rng, size):
         if dist.normalize:
             out /= heavy_tailed_sd(dist.beta)
         return out
-    return np.asarray(dist.sampler(rng, size), dtype=float)
+    # a copy: samples are built in the returned buffer
+    return np.array(dist.sampler(rng, size), dtype=float)
 
 
 def _double_factorial(k):
@@ -176,9 +184,9 @@ def _transpose(A):
 
     scipy's O(nnz) CSR -> CSC conversion of slot ids lists the slots in
     (column, row) order, the row-major slot order of the transpose; its data
-    is what argsort(A.indices, kind="stable") gives.
+    is what argsort(A.indices, kind="stable") gives, in A's index dtype.
     """
-    ids = np.arange(A.indices.shape[0])
+    ids = np.arange(A.indices.shape[0], dtype=A.indices.dtype)
     return sp.csr_array((ids, A.indices, A.indptr), shape=A.shape).T.tocsr()
 
 
@@ -187,59 +195,68 @@ def _rows(A):
     return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
 
 
-def _mirrored_structure(A, upper):
-    """Canonical CSR of the upper triangle's slots and their mirrors."""
-    i, j = _rows(A)[upper], A.indices[upper]
-    off = i != j
-    r, c = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
-    return sp.coo_array((np.ones(r.shape[0]), (r, c)), shape=A.shape).tocsr()
-
-
 def _symmetric_sparse_plan(A):
-    """(b, gather, (indptr, indices)) for sampling a symmetric sparse pattern.
+    """(variate count, gather) for sampling an exactly mirrored sparse pattern.
 
-    b is the upper triangle in the row-major contract order; indptr and
-    indices are the canonical CSR structure of the full mirrored X; gather
-    maps each CSR slot to the variate that fills it.  Temporaries are
-    dropped as soon as they are dead, so that the compile holds at most
-    one nnz-sized array besides the plan.
+    gather maps each CSR slot of A to the variate that fills it: an upper
+    slot (i <= j) takes its rank in the row-major order of the upper
+    triangle, a lower slot the variate of the upper slot it mirrors.
+    Temporaries are dropped as soon as they are dead, so that the compile
+    holds at most one nnz-sized array besides the gather.
     """
     upper = A.indices >= _rows(A)
-    b = A.data[upper]
-    T = _transpose(A)
-    if not (np.array_equal(T.indptr, A.indptr) and np.array_equal(T.indices, A.indices)):
-        # an explicit zero stored on one side only: X mirrors the
-        # upper triangle, so rebuild the structure from it
-        A = _mirrored_structure(A, upper)
-        upper = A.indices >= _rows(A)
-        T = _transpose(A)
-    perm = T.data
-    del T
-    # a lower slot takes the variate of its mirror, the upper slot perm
-    # names; gather stays intp, which numpy gathers twice as fast
+    perm = _transpose(A).data  # the slot each slot mirrors
+    # gather stays intp, which numpy gathers twice as fast
     gather = upper.astype(np.intp)
     np.cumsum(gather, out=gather)  # a cumsum of bools would cast into a second copy
+    size = int(gather[-1]) if gather.shape[0] else 0
     gather -= 1
     lower = np.logical_not(upper, out=upper)
     mirror = perm[lower]
     del perm
     gather[lower] = gather[mirror]
-    return b, gather, (A.indptr, A.indices)
+    return size, gather
+
+
+def contract_values(C):
+    """The values of C in the variate contract order, as a 1-d array.
+
+    The upper triangle (i <= j) of a symmetric pattern, every entry of a
+    rectangular one; row-major, and for sparse storage the stored slots,
+    explicit zeros included.
+    """
+    A = C.data
+    if C.kind == "rectangular":
+        return A.data if C.is_sparse else A.ravel()
+    if C.is_sparse:
+        return A.data[A.indices >= _rows(A)]
+    return A[np.triu_indices(C.rows)]
+
+
+def _read_only(a):
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _plan(C):
-    """(b, gather, structure) for sampling C; compiled once per pattern.
+    """(size, gather, structure) for sampling C; compiled once per pattern.
 
-    One trial's values are b * xi, with xi drawn in the contract order at
-    b's length (at b's shape for a dense rectangular pattern), then read
-    through gather where there is one.  structure is the (indptr, indices)
-    of a sparse sample and None for a dense one.
+    One trial draws xi at ``size`` in the contract order (one variate per
+    upper-triangle slot of a symmetric pattern, per stored entry of a
+    rectangular one; a dense rectangular pattern draws at its 2-d shape),
+    reads it through gather where there is one, and multiplies the result
+    in place by the pattern's own stored values.  That product is b_ij xi
+    for every slot because a symmetric pattern is stored exactly mirrored
+    (see ``coeffs.CoefficientMatrix``).  structure is the pattern's
+    (indptr, indices) as read-only views, shared by every sparse sample,
+    and None for a dense one.
 
     - symmetric sparse: see ``_symmetric_sparse_plan``;
-    - symmetric dense: b is the upper triangle, row-major, and gather the
-      n x n map with gather[i, j] = gather[j, i] = the index of b_ij;
-    - rectangular: b is the stored values and there is no gather; a sparse
-      sample reuses the pattern's CSR, whose canonical order is row-major.
+    - symmetric dense: gather is the n x n map with gather[i, j] =
+      gather[j, i] = the rank of (i, j) in the row-major upper triangle;
+    - rectangular: there is no gather; a sparse pattern's canonical CSR
+      lists its slots row-major.
 
     The plan is cached on the immutable pattern.
     """
@@ -247,15 +264,16 @@ def _plan(C):
         plan = getattr(C, "_sampling_plan", None)
         if plan is None:
             A = C.data
+            structure = (_read_only(A.indptr), _read_only(A.indices)) if C.is_sparse else None
             if C.kind == "rectangular":
-                plan = (A.data, None, (A.indptr, A.indices)) if C.is_sparse else (A, None, None)
+                plan = (A.nnz if C.is_sparse else A.shape, None, structure)
             elif C.is_sparse:
-                plan = _symmetric_sparse_plan(A)
+                plan = (*_symmetric_sparse_plan(A), structure)
             else:
                 i, j = np.triu_indices(C.rows)
                 gather = np.empty(A.shape, dtype=np.intp)
                 gather[i, j] = gather[j, i] = np.arange(i.shape[0])
-                plan = (A[i, j], gather, None)
+                plan = (i.shape[0], gather, structure)
             C._sampling_plan = plan
     return plan
 
@@ -264,20 +282,24 @@ def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     """One draw of X = (xi_ij b_ij), matching C's storage kind.
 
     Symmetric patterns get one variate per unordered pair (i <= j), mirrored
-    across the diagonal; the zero pattern of C is preserved exactly.
+    across the diagonal; the zero pattern of C is preserved exactly.  A
+    sparse sample owns its values and shares C's read-only index arrays.
     """
-    b, gather, structure = _plan(C)
-    vals = b * draw_entries(dist, seed.generator(stream), b.shape[0] if b.ndim == 1 else b.shape)
+    size, gather, structure = _plan(C)
+    vals = draw_entries(dist, seed.generator(stream), size)
     if gather is not None:
-        if structure is None:
+        vals = np.take(vals, gather)
+    A = C.data
+    if structure is None:
+        vals *= A
+        if gather is not None:
             # dense symmetric samples hold +0.0, never -0.0, where b_ij = 0
             # (fixed CSV bytes); adding 0.0 changes no other value
             vals += 0.0
-        vals = vals[gather]
-    if structure is None:
         return vals
+    vals *= A.data
     indptr, indices = structure
-    return sp.csr_array((vals, indices.copy(), indptr.copy()), shape=(C.rows, C.cols))
+    return sp.csr_array((vals, indices, indptr), shape=(C.rows, C.cols))
 
 
 def symmetrized_difference(C, dist, seed):

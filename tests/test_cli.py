@@ -231,7 +231,8 @@ def test_cli_nonconvergence_exit_code(capsys, monkeypatch, partial, best):
 @pytest.mark.parametrize(
     "key, value",
     [("n_grid", "512,1024"), ("n_grid", [512.5]), ("t_grid", [0, "1"]), ("trials", "10"),
-     ("trials", 10.0), ("epsilon", "0.25"), ("seed", True), ("pattern", 5)],
+     ("trials", 10.0), ("epsilon", "0.25"), ("seed", True), ("pattern", 5),
+     ("tol", float("nan")), ("t_grid", [0.0, float("inf")])],
 )
 def test_cli_manifest_value_types(tmp_path, capsys, key, value):
     manifest = tmp_path / "m.json"
@@ -251,6 +252,10 @@ def test_cli_malformed_pattern_spec(capsys, spec):
     assert json.loads(err)["error"] == "ParameterError"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("kind, shape", [("symmetric", (5, 5)), ("rectangular", (4, 6))])
 def test_cli_report_zero_pattern(tmp_path, capsys, kind, shape):
     # no dimension-free or Seginer bound exists for an all-zero pattern
@@ -260,8 +265,9 @@ def test_cli_report_zero_pattern(tmp_path, capsys, kind, shape):
         capsys, "report", "--matrix-file", str(path), "--matrix-kind", kind, "--trials", "4"
     )
     assert code == 0
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_reject_constant)  # strict: no NaN or Infinity
     assert payload["ok"] is True and payload["mc_norm_mean"] == 0.0
+    assert payload["column_ratio_diagnostic"] is None
     assert not {"dimfree", "seginer"} & set(payload["upper_bounds"])
     assert ("main" if kind == "symmetric" else "rect") in payload["upper_bounds"]
 

@@ -347,6 +347,45 @@ def test_sparse_symmetry_check_matches_reference_gap(M, tol):
     _assert_check_matches_reference(M, tol)
 
 
+def _mirrored_upper_slots(M):
+    """{(i, j): b_ij} over M's stored upper-triangle slots (i <= j) and their mirrors."""
+    M = M.tocsr(copy=True)
+    M.sum_duplicates()
+    coo = M.tocoo()
+    slots = {}
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        if i <= j:
+            slots[i, j] = slots[j, i] = v
+    return slots
+
+
+ACCEPTED_SYMMETRY_CASES = {
+    name: case for name, case in SYMMETRY_CASES.items() if _reference_gap(case[0]) <= case[1]
+}
+
+
+@pytest.mark.parametrize("M, tol", ACCEPTED_SYMMETRY_CASES.values(), ids=ACCEPTED_SYMMETRY_CASES.keys())
+def test_accepted_sparse_pattern_stores_its_mirrored_upper_triangle(M, tol):
+    # slot for slot and bit for bit: stored zeros, gaps within tol and signs of zeros too
+    slots = _mirrored_upper_slots(M)
+    keys = sorted(slots)
+    A = coeffs.CoefficientMatrix(M, "symmetric", sym_tol=tol).data.tocoo()
+    assert list(zip(A.row.tolist(), A.col.tolist())) == keys
+    want = np.array([slots[key] for key in keys], dtype=float)
+    assert np.array_equal(A.data.view(np.int64), want.view(np.int64))
+
+
+def test_accepted_dense_pattern_stores_its_mirrored_upper_triangle():
+    a = np.array([[1.0, 0.5, -0.0], [0.5 + 1e-13, 2.0, 0.0], [0.0, 0.0, 3.0]])
+    C = coeffs.CoefficientMatrix(a, "symmetric", sym_tol=coeffs.FILE_SYMMETRY_TOL)
+    want = a.copy()
+    i, j = np.tril_indices(3, -1)
+    want[i, j] = a[j, i]
+    assert np.array_equal(C.data.view(np.int64), want.view(np.int64))
+    exact = np.array([[1.0, 0.5], [0.5, 2.0]])
+    assert np.array_equal(coeffs.CoefficientMatrix(exact, "symmetric").data, exact)
+
+
 def test_symmetry_check_of_a_matrix_file(tmp_path):
     # a near-symmetric file under FILE_SYMMETRY_TOL: the sparse check agrees
     # with the reference gap and with the dense load of the same file

@@ -98,8 +98,11 @@ def _sparse_file_pattern(tmp_path):
 def _one_sided_zero_pattern(i, j):
     """6 x 6 symmetric pattern plus an explicit zero at (i, j) whose mirror is not stored."""
     rows, cols, vals = [0, 1, 2, 0, 3, 5, i], [0, 1, 0, 2, 3, 5, j], [1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 0.0]
-    C = coeffs.CoefficientMatrix(sp.coo_array((vals, (rows, cols)), shape=(6, 6)).tocsr(), "symmetric")
-    assert C.data.nnz == 7
+    M = sp.coo_array((vals, (rows, cols)), shape=(6, 6)).tocsr()
+    assert M.nnz == 7
+    # stored mirrored: the zero above the diagonal gains its mirror, the one below is dropped
+    C = coeffs.CoefficientMatrix(M, "symmetric")
+    assert C.data.nnz == (8 if i < j else 6)
     return C
 
 
@@ -188,10 +191,26 @@ def test_sampling_plan_compiled_once(build, tmp_path, monkeypatch):
     assert C._sampling_plan is plan
     for name, arr in _arrays(again).items():
         assert np.array_equal(arr, _arrays(first)[name])
-    if C.is_sparse:
-        # samples own their structure: the pattern's arrays are never shared
-        for arr in (again.indices, again.indptr):
-            assert not np.shares_memory(arr, C.data.indices) and not np.shares_memory(arr, C.data.indptr)
+
+
+SHARED_BUILDS = {**SPARSE_BUILDS, "rect_sparse": OTHER_BUILDS["rect_sparse"]}
+
+
+@pytest.mark.parametrize("build", SHARED_BUILDS.values(), ids=SHARED_BUILDS.keys())
+def test_sparse_samples_share_the_patterns_read_only_structure(build, tmp_path):
+    C = build(tmp_path)
+    before = {name: arr.copy() for name, arr in _arrays(C.data).items()}
+    X = sample_matrix(C, GAUSSIAN, SeedSpec(6, 0))
+    for name in ("indices", "indptr"):
+        arr = getattr(X, name)
+        assert np.shares_memory(arr, getattr(C.data, name)) and not arr.flags.writeable, name
+    assert not np.shares_memory(X.data, C.data.data) and X.data.flags.writeable
+    # an in-place structural edit of a sample cannot reach the pattern
+    X.data[::2] = 0.0
+    with pytest.raises(ValueError):
+        X.eliminate_zeros()
+    for name, arr in _arrays(C.data).items():
+        assert np.array_equal(arr, before[name]), name
 
 
 @pytest.mark.parametrize(
@@ -264,13 +283,18 @@ PLAN_BUILDS = {
 
 @pytest.mark.parametrize("build", PLAN_BUILDS.values(), ids=PLAN_BUILDS.keys())
 def test_symmetric_sparse_plan_matches_reference(build, tmp_path):
-    # zero_above/below_diagonal take the explicit-zero rebuild branch
     C = build(tmp_path)
     assert C.is_sparse and C.kind == "symmetric"
-    got = sampling._symmetric_sparse_plan(C.data)
-    want = _reference_symmetric_sparse_plan(C.data)
-    for g, w in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2])):
+    size, gather, structure = sampling._plan(C)
+    b, want_gather, want_structure = _reference_symmetric_sparse_plan(C.data)
+    assert size == b.shape[0]
+    for g, w in zip((gather, *structure), (want_gather, *want_structure)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+    # a sample is the reference's (b * xi)[gather], bit for bit
+    for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
+        X = sample_matrix(C, GAUSSIAN, seed)
+        want = (b * sampling.draw_entries(GAUSSIAN, seed.generator(), size))[want_gather]
+        assert np.array_equal(X.data.view(np.int64), want.view(np.int64))
 
 
 def traced_peak(fn):
@@ -288,9 +312,18 @@ def test_build_and_plan_compile_peak_memory():
     # at most one nnz-sized temporary besides what each step keeps
     C, build_peak = traced_peak(lambda: coeffs.band_cyclic(2**12, 20))
     A = C.data
-    assert build_peak <= 3.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
-    (b, gather, _), plan_peak = traced_peak(lambda: sampling._plan(C))
-    assert plan_peak <= 2.5 * (b.nbytes + gather.nbytes)
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+    assert build_peak <= 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    (_, gather, _), plan_peak = traced_peak(lambda: sampling._plan(C))
+    assert plan_peak <= 2.5 * gather.nbytes
+
+
+def test_sample_peak_memory():
+    # on a compiled plan a sample holds its variates and its values, nothing more
+    C = coeffs.band_cyclic(2**12, 20)
+    size, _, _ = sampling._plan(C)
+    X, peak = traced_peak(lambda: sample_matrix(C, GAUSSIAN, SeedSpec(4, 0)))
+    assert peak <= 8 * size + X.data.nbytes + 2**14
 
 
 def test_band_sample_preserves_zero_pattern():
