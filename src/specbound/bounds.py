@@ -63,8 +63,9 @@ def _require_symmetric(C, op):
         raise ParameterError(f"{op} expects a symmetric pattern")
 
 
-def _report(name, value, mode, C, p, eps=None, note=""):
-    """BoundReport of ``value``, with C's ``StructuralParams`` p as its inputs."""
+def _report(name, value, mode, C, eps=None, note=""):
+    """BoundReport of ``value``, with C's (cached) ``StructuralParams`` as its inputs."""
+    p = structural_params(C)
     return BoundReport(
         bound_name=name,
         value=float(value),
@@ -93,7 +94,7 @@ def bound_main(C, epsilon):
     value = (1.0 + epsilon) * (
         2.0 * p.sigma + main_log_coefficient(epsilon) * p.sigma_star * math.sqrt(math.log(C.rows))
     )
-    return _report("main", value, EXPLICIT, C, p, eps=epsilon)
+    return _report("main", value, EXPLICIT, C, eps=epsilon)
 
 
 def bound_rect(C, epsilon):
@@ -104,7 +105,7 @@ def bound_rect(C, epsilon):
     value = (1.0 + epsilon) * (
         p.sigma1 + p.sigma2 + coeff * p.sigma_star * math.sqrt(math.log(min(C.rows, C.cols)))
     )
-    return _report("rect", value, EXPLICIT, C, p, eps=epsilon)
+    return _report("rect", value, EXPLICIT, C, eps=epsilon)
 
 
 def bound_reference(C, kind):
@@ -117,7 +118,7 @@ def bound_reference(C, kind):
         value = p.sigma_star * math.sqrt(C.rows)
     else:
         raise ParameterError(f"kind must be 'nck' or 'gordon', got {kind!r}")
-    return _report(kind, value, STRUCTURAL, C, p)
+    return _report(kind, value, STRUCTURAL, C)
 
 
 def bound_subgaussian(C, epsilon):
@@ -141,7 +142,7 @@ def bound_heavy(C, beta):
     _require_symmetric(C, "bound_heavy")
     p = structural_params(C)
     value = p.sigma + p.sigma_star * math.log(C.rows) ** (max(beta, 1.0) / 2.0)
-    return _report("heavy", value, STRUCTURAL, C, p, eps=beta)
+    return _report("heavy", value, STRUCTURAL, C, eps=beta)
 
 
 def bound_bounded_entries(C, alpha, entry_moment):
@@ -159,7 +160,7 @@ def bound_bounded_entries(C, alpha, entry_moment):
     n = C.rows
     if n == 1:
         value = math.exp(2.0 / alpha) * 2.0 * p.sigma
-        return _report("bounded_entries", value, EXPLICIT, C, p, eps=alpha)
+        return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
     q = 2 * math.ceil(alpha * math.log(n))
     big_m = 0.0
     ii, jj, _ = C.nonzero_entries()
@@ -172,7 +173,7 @@ def bound_bounded_entries(C, alpha, entry_moment):
     value = math.exp(2.0 / alpha) * (
         2.0 * p.sigma + 14.0 * alpha * big_m * math.sqrt(math.log(n))
     )
-    return _report("bounded_entries", value, EXPLICIT, C, p, eps=alpha)
+    return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
 
 
 def bound_dimfree(C, p):
@@ -194,7 +195,7 @@ def bound_dimfree(C, p):
         value = sp_.sigma + tail
     else:
         value = sp_.sigma1 + sp_.sigma2 + tail
-    return _report("dimfree", value, STRUCTURAL, C, sp_, eps=p)
+    return _report("dimfree", value, STRUCTURAL, C, eps=p)
 
 
 def bound_seginer(C):
@@ -212,7 +213,7 @@ def bound_seginer(C):
     logn = math.log(C.rows)
     u_star = p.sigma / logn**0.25
     value = p.sigma + 2.0 * p.sigma * logn**0.25
-    return _report("seginer", value, STRUCTURAL, C, p, note=f"u_star={u_star!r}")
+    return _report("seginer", value, STRUCTURAL, C, note=f"u_star={u_star!r}")
 
 
 def bound_rademacher(C, epsilon, tol=1e-8):

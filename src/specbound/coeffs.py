@@ -2,14 +2,25 @@
 
 A CoefficientMatrix holds the deterministic scalars that multiply the random
 entries.  Patterns below a 5% fill are kept in CSR form so that band matrices
-at n = 1e5 stay affordable; everything else is a read-only dense array.
+at n = 1e5 stay affordable; everything else is a dense array.  A pattern owns
+its storage and every buffer of it is read-only (a CSR's data, indices and
+indptr alike), so it never changes after construction, whatever the caller
+does to the matrix it was made from.
+
+The parameter-only builders (wigner, diagonal, band, band_cyclic,
+block_diagonal, single_entry, log_decay_diagonal) return the live pattern of
+equal arguments, with its cached sampling plan and structural parameters,
+while anything still holds it; nothing is kept alive for later calls.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +49,21 @@ class StructuralParams:
 
 
 class CoefficientMatrix:
-    """Immutable coefficient pattern, symmetric or rectangular."""
+    """Immutable coefficient pattern, symmetric or rectangular.
+
+    The constructor neither edits nor keeps ``entries``: the pattern stores
+    its own read-only copy.
+    """
 
     def __init__(self, entries, kind, sym_tol=0.0):
         if kind not in ("symmetric", "rectangular"):
             raise ParameterError(f"unknown kind {kind!r}")
         if sp.issparse(entries):
-            data = _canonical_csr(entries)
+            # a symmetric pattern's own copy comes from the symmetry check
+            data = _canonical_csr(entries, copy=kind == "rectangular")
             values = data.data
         else:
-            data = np.asarray(entries, dtype=float)
+            data = np.array(entries, dtype=float)
             if data.ndim != 2:
                 raise DataError("entries must be a 2-d array")
             values = data
@@ -59,11 +75,8 @@ class CoefficientMatrix:
             if data.shape[0] != data.shape[1]:
                 raise ParameterError("symmetric pattern must be square")
             data = _mirrored_exactly(data, sym_tol)
-        if isinstance(data, np.ndarray):
-            data = data.copy()
-            data.setflags(write=False)
-        else:
-            data.data.setflags(write=False)
+        for buf in (data,) if isinstance(data, np.ndarray) else (data.data, data.indices, data.indptr):
+            buf.setflags(write=False)
         self._data = data
         self.kind = kind
         self.rows, self.cols = data.shape
@@ -112,22 +125,27 @@ class CoefficientMatrix:
         )
 
 
-def _canonical_csr(M):
-    """M as a canonical CSR, with int32 indices where they fit."""
+def _canonical_csr(M, copy=False):
+    """M as a canonical float CSR, with int32 indices where they fit.
+
+    M is never edited.  A CSR already in canonical form shares its buffers
+    with the result unless ``copy``; any other CSR is canonicalized in a
+    copy, and any other format converts into new buffers anyway.
+    """
     data = M.tocsr()
+    copy = data is M and (copy or not data.has_canonical_format)
+    # int32 halves the index bytes of int64, and samples, plans and
+    # transposes inherit the width
+    idx = np.int32 if max(data.nnz, *data.shape) < 2**31 else data.indices.dtype
+    data = type(data)(
+        (
+            data.data.astype(float, copy=copy),
+            data.indices.astype(idx, copy=copy),
+            data.indptr.astype(idx, copy=copy),
+        ),
+        shape=data.shape,
+    )
     data.sum_duplicates()
-    data.sort_indices()
-    if max(data.nnz, *data.shape) < 2**31:
-        # half the index bytes of int64, and samples, plans and
-        # transposes inherit the width
-        data = type(data)(
-            (
-                data.data,
-                data.indices.astype(np.int32, copy=False),
-                data.indptr.astype(np.int32, copy=False),
-            ),
-            shape=data.shape,
-        )
     return data
 
 
@@ -135,12 +153,15 @@ def _mirrored_exactly(data, sym_tol):
     """A square pattern that is symmetric within ``sym_tol``, stored exactly mirrored.
 
     A pattern whose two triangles already agree bit for bit, stored slots
-    included, is returned as it is.  Otherwise the gap max |b_ij - b_ji| is
-    checked against ``sym_tol`` and the pattern rebuilt from its upper
-    triangle, so that every stored b_ji is b_ij itself: a one-sided stored
-    zero is mirrored (above the diagonal) or dropped (below it), and a
-    nonzero gap within the tolerance takes the upper value.  Sampling
-    relies on this: a sample is the variates times the stored values.
+    included, is kept: a dense one as it is, a sparse one as the transpose
+    the check builds, which has the same structure and value bits and, unlike
+    ``data``, shares no buffer with the caller's matrix.  Otherwise the gap
+    max |b_ij - b_ji| is checked against ``sym_tol`` and the pattern rebuilt
+    from its upper triangle, so that every stored b_ji is b_ij itself: a
+    one-sided stored zero is mirrored (above the diagonal) or dropped (below
+    it), and a nonzero gap within the tolerance takes the upper value.
+    Sampling relies on this: a sample is the variates times the stored
+    values.
     """
     dense = not sp.issparse(data)
     if dense:
@@ -152,7 +173,7 @@ def _mirrored_exactly(data, sym_tol):
         T = data.T.tocsr()
         if np.array_equal(T.indptr, data.indptr) and np.array_equal(T.indices, data.indices):
             if np.array_equal(T.data.view(np.int64), data.data.view(np.int64)):
-                return data
+                return T
             # same structure: the gap is slot by slot, in T's buffer
             np.subtract(data.data, T.data, out=T.data)
             gap = np.abs(T.data, out=T.data).max()
@@ -190,24 +211,56 @@ def _store(mat, nnz, kind):
     return CoefficientMatrix(mat.toarray(), kind)
 
 
+# (builder, (type, value) of each argument) -> the live pattern it built
+_LIVE = weakref.WeakValueDictionary()
+_LIVE_LOCK = threading.Lock()  # one build per live pattern when builders run on threads
+
+
+def _interned(builder):
+    """``builder`` that returns the live pattern built from equal arguments.
+
+    Arguments match by type and value, so a float or bool argument never
+    gets a pattern built from an int.  A pattern stays only while something
+    else holds it, and a build that raises stores nothing.
+    """
+
+    @functools.wraps(builder)
+    def build(*args):
+        key = (builder, *((type(a), a) for a in args))
+        with _LIVE_LOCK:
+            try:
+                return _LIVE[key]
+            except KeyError:
+                pass
+            except TypeError:  # an unhashable argument, which the builder rejects
+                return builder(*args)
+            C = _LIVE[key] = builder(*args)
+            return C
+
+    return build
+
+
 def _check_dim(n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"dimension must be a positive integer, got {n!r}")
     return int(n)
 
 
+@_interned
 def wigner(n):
     """All-ones n x n symmetric pattern."""
     n = _check_dim(n)
     return CoefficientMatrix(np.ones((n, n)), "symmetric")
 
 
+@_interned
 def diagonal(n):
     """Identity pattern."""
     n = _check_dim(n)
     return _store(sp.eye_array(n, format="csr"), n, "symmetric")
 
 
+@_interned
 def band(n, k):
     """b_ij = 1 iff |i - j| <= k: the 2k + 1 diagonals -k .. k."""
     n = _check_dim(n)
@@ -218,6 +271,7 @@ def band(n, k):
     return _store(mat, mat.nnz, "symmetric")
 
 
+@_interned
 def band_cyclic(n, k):
     """Wrap-around band: b_ij = 1 iff |i - j| mod n <= k.
 
@@ -241,6 +295,7 @@ def band_cyclic(n, k):
     return _store(mat, n * w, "symmetric")
 
 
+@_interned
 def block_diagonal(n, k):
     """n/k diagonal blocks of all ones; k must divide n."""
     n = _check_dim(n)
@@ -251,12 +306,14 @@ def block_diagonal(n, k):
     return _store(sp.kron(sp.eye_array(n // k), np.ones((k, k)), format="csr"), n * k, "symmetric")
 
 
+@_interned
 def single_entry(n):
     """b_11 = 1, all other entries zero."""
     n = _check_dim(n)
     return _pack(np.array([0]), np.array([0]), np.ones(1), n, n, "symmetric")
 
 
+@_interned
 def log_decay_diagonal(n):
     """Diagonal pattern b_ii = min(1, 1/sqrt(log i)).
 
@@ -315,7 +372,14 @@ def build_pattern(kind, params=()):
 
 
 def structural_params(C):
-    """sigma, sigma_star, sigma1, sigma2 of a pattern."""
+    """sigma, sigma_star, sigma1, sigma2 of a pattern; computed once and cached on it."""
+    params = getattr(C, "_structural_params", None)
+    if params is None:
+        params = C._structural_params = _structural_params(C)
+    return params
+
+
+def _structural_params(C):
     row, col = row_col_sumsq(C.data)
     sigma1 = math.sqrt(row.max()) if row.size else 0.0
     sigma2 = math.sqrt(col.max()) if col.size else 0.0

@@ -15,8 +15,8 @@ A pattern compiles once into a plan that holds no values: the variate
 count and, for a symmetric pattern, the gather from variates to slots.  A
 sample is the variates read through the gather and multiplied in place by
 the pattern's stored values, which ``CoefficientMatrix`` keeps exactly
-mirrored; a sparse sample shares the pattern's index arrays as read-only
-views.  So a trial holds the pattern, the plan and one sample's values.
+mirrored; a sparse sample shares the pattern's read-only index arrays.  So
+a trial holds the pattern, the plan and one sample's values.
 """
 
 from __future__ import annotations
@@ -233,12 +233,6 @@ def contract_values(C):
     return A[np.triu_indices(C.rows)]
 
 
-def _read_only(a):
-    view = a.view()
-    view.setflags(write=False)
-    return view
-
-
 def _plan(C):
     """(size, gather, structure) for sampling C; compiled once per pattern.
 
@@ -248,9 +242,9 @@ def _plan(C):
     reads it through gather where there is one, and multiplies the result
     in place by the pattern's own stored values.  That product is b_ij xi
     for every slot because a symmetric pattern is stored exactly mirrored
-    (see ``coeffs.CoefficientMatrix``).  structure is the pattern's
-    (indptr, indices) as read-only views, shared by every sparse sample,
-    and None for a dense one.
+    (see ``coeffs.CoefficientMatrix``).  structure is the pattern's own
+    read-only (indptr, indices), shared by every sparse sample, and None for
+    a dense one.
 
     - symmetric sparse: see ``_symmetric_sparse_plan``;
     - symmetric dense: gather is the n x n map with gather[i, j] =
@@ -264,7 +258,7 @@ def _plan(C):
         plan = getattr(C, "_sampling_plan", None)
         if plan is None:
             A = C.data
-            structure = (_read_only(A.indptr), _read_only(A.indices)) if C.is_sparse else None
+            structure = (A.indptr, A.indices) if C.is_sparse else None
             if C.kind == "rectangular":
                 plan = (A.nnz if C.is_sparse else A.shape, None, structure)
             elif C.is_sparse:

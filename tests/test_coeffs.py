@@ -1,12 +1,18 @@
+import gc
 import math
 import re
+import sys
+import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specbound import coeffs
+from specbound import coeffs, sampling
 from specbound.errors import DataError, ParameterError
+from specbound.sampling import GAUSSIAN, SeedSpec, sample_matrix
 
 
 def test_band_7_1_is_tridiagonal():
@@ -187,6 +193,22 @@ def test_sparse_storage_threshold():
     assert not coeffs.diagonal(10).is_sparse    # 10% fill stays dense
 
 
+INTERNED_CASES = [
+    (coeffs.wigner, (5,)),
+    (coeffs.diagonal, (30,)),
+    (coeffs.band, (100, 2)),
+    (coeffs.band, (9, 2)),
+    (coeffs.band_cyclic, (300, 3)),
+    (coeffs.block_diagonal, (40, 2)),
+    (coeffs.single_entry, (30,)),
+    (coeffs.log_decay_diagonal, (40,)),
+]
+
+
+def _buffers(M):
+    return {"array": M} if isinstance(M, np.ndarray) else {a: getattr(M, a) for a in ("data", "indices", "indptr")}
+
+
 def test_entries_are_immutable():
     dense = coeffs.wigner(4)
     with pytest.raises(ValueError):
@@ -194,6 +216,13 @@ def test_entries_are_immutable():
     sparse = coeffs.band(1000, 2)
     with pytest.raises(ValueError):
         sparse.data.data[0] = 2.0
+    # every buffer of every builder's pattern, CSR index arrays included
+    for builder, args in INTERNED_CASES:
+        C = builder(*args)
+        for name, buf in _buffers(C.data).items():
+            assert not buf.flags.writeable, (builder.__name__, name)
+            with pytest.raises(ValueError):
+                buf[0] = buf[0]
 
 
 def test_structural_params_examples():
@@ -404,11 +433,143 @@ def test_symmetry_check_of_a_matrix_file(tmp_path):
 
 
 def test_already_canonical_int32_csr_is_wrapped_without_copies():
-    A = coeffs.band_cyclic(300, 3).data
+    # no copy beyond the one the pattern keeps: the symmetry check's
+    # transpose becomes the pattern, with int32 indices, sharing nothing with M
+    A = coeffs.band_cyclic.__wrapped__(2**12, 20).data
     M = sp.csr_array((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
-    C = coeffs.CoefficientMatrix(M, "symmetric")
+    tracemalloc.start()
+    try:
+        C = coeffs.CoefficientMatrix(M, "symmetric")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    B = C.data
+    assert B.indices.dtype == np.int32 and B.indptr.dtype == np.int32
     for attr in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(C.data, attr), getattr(M, attr)), attr
+        assert not np.shares_memory(getattr(B, attr), getattr(M, attr)), attr
+        assert np.array_equal(getattr(B, attr), getattr(A, attr)), attr
+    assert peak <= 1.25 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+
+
+def _noncanonical_csr():
+    """2 x 2 CSR whose first row lists column 1 before column 0."""
+    return sp.csr_array(([5.0, 1.0, 1.0], [1, 0, 0], [0, 2, 3]), shape=(2, 2))
+
+
+OWNERSHIP_INPUTS = {
+    "sparse_symmetric": (lambda: sp.csr_array(coeffs.band_cyclic.__wrapped__(40, 2).toarray()), "symmetric"),
+    "sparse_symmetric_int64": (lambda: _random_near_symmetric(40, 4, 0.0, np.int64), "symmetric"),
+    "sparse_noncanonical_symmetric": (lambda: _noncanonical_csr() + _noncanonical_csr().T, "symmetric"),
+    "sparse_noncanonical_rectangular": (_noncanonical_csr, "rectangular"),
+    "sparse_rectangular": (lambda: sp.random(30, 50, density=0.04, random_state=5, format="csr"), "rectangular"),
+    "dense_symmetric": (lambda: np.array(coeffs.band.__wrapped__(6, 1).toarray()), "symmetric"),
+    "dense_rectangular": (lambda: np.arange(12.0).reshape(3, 4) + 1.0, "rectangular"),
+}
+
+
+def _pattern_state(C):
+    size, gather, _ = sampling._plan(C)
+    X = sample_matrix(C, GAUSSIAN, SeedSpec(1, 0))
+    return {
+        "pattern": {name: buf.copy() for name, buf in _buffers(C.data).items()},
+        "params": coeffs.structural_params(C),
+        "plan": {"size": np.array(size), "gather": np.array(gather)},
+        "sample": {name: buf.copy() for name, buf in _buffers(X).items()},
+    }
+
+
+def _assert_same_state(a, b):
+    assert a["params"] == b["params"]
+    for part in ("pattern", "plan", "sample"):
+        for name in a[part]:
+            assert np.array_equal(a[part][name], b[part][name]), (part, name)
+
+
+@pytest.mark.parametrize("make, kind", OWNERSHIP_INPUTS.values(), ids=OWNERSHIP_INPUTS.keys())
+def test_constructor_leaves_its_input_alone(make, kind):
+    M = make()
+    if not isinstance(M, np.ndarray):
+        M = M.tocsr()
+    before = {name: (buf.copy(), buf.flags.writeable) for name, buf in _buffers(M).items()}
+    C = coeffs.CoefficientMatrix(M, kind)
+    for name, buf in _buffers(M).items():
+        assert buf.dtype == before[name][0].dtype and np.array_equal(buf, before[name][0]), name
+        assert buf.flags.writeable == before[name][1], name
+        for own in _buffers(C.data).values():
+            assert not np.shares_memory(buf, own), name
+
+
+@pytest.mark.parametrize("make, kind", OWNERSHIP_INPUTS.values(), ids=OWNERSHIP_INPUTS.keys())
+def test_later_writes_to_the_input_do_not_reach_the_pattern(make, kind):
+    M = make()
+    if not isinstance(M, np.ndarray):
+        M = M.tocsr()
+    C = coeffs.CoefficientMatrix(M, kind)
+    state = _pattern_state(C)
+    for buf in _buffers(M).values():
+        if buf.dtype.kind == "f":
+            buf *= 2.0
+        else:
+            buf[...] = buf[::-1]
+    _assert_same_state(_pattern_state(C), state)
+    _assert_same_state(_pattern_state(coeffs.CoefficientMatrix(make(), kind)), state)
+
+
+def test_noncanonical_input_is_canonicalized_in_a_copy():
+    M = _noncanonical_csr()
+    C = coeffs.CoefficientMatrix(M, "rectangular")
+    assert M.indices.tolist() == [1, 0, 0] and M.data.tolist() == [5.0, 1.0, 1.0]
+    assert C.data.indices.tolist() == [0, 1, 0] and C.data.data.tolist() == [1.0, 5.0, 1.0]
+
+
+@pytest.mark.parametrize("builder, args", INTERNED_CASES, ids=[f"{b.__name__}{a}" for b, a in INTERNED_CASES])
+def test_builders_return_the_live_pattern_of_equal_arguments(builder, args):
+    C = builder(*args)
+    assert builder(*args) is C
+    assert coeffs.build_pattern(builder.__name__, [str(a) for a in args]) is C
+    sample_matrix(C, GAUSSIAN, SeedSpec(2, 0))
+    assert hasattr(C, "_sampling_plan")
+    dead = weakref.ref(C)
+    del C
+    gc.collect()
+    assert dead() is None  # nothing else holds the pattern
+    fresh = builder(*args)
+    assert not hasattr(fresh, "_sampling_plan")
+
+
+def test_interning_matches_argument_types():
+    C = coeffs.band_cyclic(4, 1)
+    for _ in range(2):  # invalid arguments raise on every call
+        with pytest.raises(ParameterError):
+            coeffs.band_cyclic(4.0, 1)
+        with pytest.raises(ParameterError):
+            coeffs.band_cyclic(5, 3)
+        with pytest.raises(ParameterError):
+            coeffs.wigner([4])
+    assert coeffs.band_cyclic(4, 1) is C
+    assert coeffs.band(4, 1.0) is not coeffs.band(4, 1)
+    assert coeffs.band(True, 0) is not coeffs.band(1, 0)
+    assert coeffs.wigner(np.int64(4)) is not coeffs.wigner(4)
+
+
+def test_threads_building_one_pattern_share_it():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            built = list(pool.map(lambda _: coeffs.band_cyclic(2**15, 7), range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(C is built[0] for C in built)
+
+
+def test_from_adjacency_reads_its_file_on_every_call(tmp_path):
+    path = tmp_path / "adj.csv"
+    path.write_text("0,1\n1,0\n")
+    first = coeffs.build_pattern("from_adjacency", [str(path)])
+    path.write_text("0,2\n2,0\n")
+    second = coeffs.build_pattern("from_adjacency", [str(path)])
+    assert first.toarray()[0, 1] == 1.0 and second.toarray()[0, 1] == 2.0
 
 
 def test_dense_csv_roundtrip(tmp_path):

@@ -98,6 +98,28 @@ def test_phase_scan_band_small():
     assert np.array_equal(experiments._row_degrees(C), np.full(128, 3))
 
 
+_PHASE_CSV = """
+import sys
+from specbound import experiments
+from specbound.sampling import GAUSSIAN
+experiments.phase_scan("band", [256, 512], "const:5", GAUSSIAN, trials=4, seed=21).write_csv(sys.argv[1])
+"""
+
+
+def test_phase_scan_on_a_live_pattern_matches_a_fresh_process(tmp_path, fresh_python):
+    # the scans share the held patterns and their cached plans, and still
+    # write the bytes of a process that built everything afresh
+    held = [coeffs.band_cyclic(256, 2), coeffs.band_cyclic(512, 2)]
+    outputs = []
+    for i in range(2):
+        grid = experiments.phase_scan("band", [256, 512], "const:5", GAUSSIAN, trials=4, seed=21)
+        grid.write_csv(tmp_path / f"live{i}.csv")
+        outputs.append((tmp_path / f"live{i}.csv").read_bytes())
+    assert all(hasattr(C, "_sampling_plan") for C in held)
+    fresh_python("-c", _PHASE_CSV, str(tmp_path / "fresh.csv"))
+    assert outputs[0] == outputs[1] == (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_row_degrees_skip_stored_zeros():
     # cyclic 3-band on 12 vertices plus a symmetric pair of stored zeros at (0, 5), (5, 0)
     n = 12
@@ -304,20 +326,22 @@ def test_bounds_vs_empirical_report_rademacher_includes_split_bound():
     assert rep["upper_bounds"]["rademacher"]["value"] == 1.0
 
 
-def test_bounds_vs_empirical_report_computes_pattern_params_seven_times(monkeypatch):
-    # two lower values and five upper bounds, one structural_params pass each
+def test_bounds_vs_empirical_report_computes_pattern_params_once(monkeypatch):
+    # two lower values and five upper bounds read the parameters cached on
+    # the pattern: one row_col_sumsq pass over a fresh pattern
     calls = []
-    real = coeffs.structural_params
+    real = coeffs.row_col_sumsq
 
-    def counted(C):
-        calls.append(C)
-        return real(C)
+    def counted(M):
+        calls.append(M)
+        return real(M)
 
-    monkeypatch.setattr(coeffs, "structural_params", counted)
-    monkeypatch.setattr(bounds, "structural_params", counted)
-    rep = experiments.bounds_vs_empirical_report(coeffs.wigner(64), GAUSSIAN, 0.25, trials=4, seed=1)
-    assert len(calls) == 7
+    monkeypatch.setattr(coeffs, "row_col_sumsq", counted)
+    C = coeffs.wigner.__wrapped__(64)
+    rep = experiments.bounds_vs_empirical_report(C, GAUSSIAN, 0.25, trials=4, seed=1)
+    assert len(calls) == 1
     assert sorted(rep["upper_bounds"]) == ["dimfree", "gordon", "main", "nck", "seginer"]
-    params = real(coeffs.wigner(64))
+    params = coeffs.structural_params(C)
+    assert len(calls) == 1
     for name, entry in rep["upper_bounds"].items():
         assert (entry["sigma"], entry["sigma_star"]) == (params.sigma, params.sigma_star), name
