@@ -230,14 +230,13 @@ def bound_rademacher(C, epsilon, tol=1e-8):
 def _max_entry_maxima(C, trials, seed):
     """Per-trial max_ij |b_ij g_ij| over the nonzero coefficients.
 
-    Symmetric patterns draw one Gaussian per upper-triangle nonzero, in
-    row-major order, from stream STREAM_MAX_ENTRY; an all-zero pattern
+    One Gaussian per nonzero coefficient in the variate contract order (over
+    i <= j if symmetric), from stream STREAM_MAX_ENTRY; an all-zero pattern
     gives an empty list.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    b = sampling.contract_values(C)
-    b = abs(b[b != 0])
+    b = abs(sampling.contract_values(C))
     if b.size == 0:
         return []
     maxima = []
@@ -350,12 +349,12 @@ def second_form_constant(epsilon, variant="gaussian"):
     return (2.0 + cprime) ** 2
 
 
-def tail_bound_second_form(C, epsilon, t, variant="gaussian", sigma_tilde=None, sigma_star_tilde=None):
+def tail_bound_second_form(C, epsilon, t, variant="gaussian", sigma_star_tilde=None):
     """min(1, n exp(-t^2 / (c_eps sigma_star^2))) around threshold (1+eps) 2 sigma.
 
-    variant="bounded" uses caller-supplied variance/sup parameters
-    (sigma_tilde, sigma_star_tilde) and the bounded-entry constant; both
-    variants are structural.
+    variant="bounded" uses the caller-supplied sup parameter sigma_star_tilde
+    and the bounded-entry constant; the caller puts the threshold at
+    (1+eps) 2 sigma_tilde.  Both variants are structural.
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
@@ -363,8 +362,8 @@ def tail_bound_second_form(C, epsilon, t, variant="gaussian", sigma_tilde=None, 
     if variant == "gaussian":
         star = p.sigma_star
     else:
-        if sigma_tilde is None or sigma_star_tilde is None:
-            raise ParameterError("bounded variant needs sigma_tilde and sigma_star_tilde")
+        if sigma_star_tilde is None:
+            raise ParameterError("bounded variant needs sigma_star_tilde")
         star = sigma_star_tilde
     c_eps = second_form_constant(epsilon, variant)
     if t == 0:

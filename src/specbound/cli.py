@@ -263,8 +263,6 @@ def _cmd_norm(m):
 
 def _cmd_moments(m):
     p = int(m.p)
-    if p != m.p:
-        raise ParameterError("moments needs an integer p")
     if m.moments_action == "census":
         shapes = moments_mod.enumerate_shapes(p)
         bip = moments_mod.enumerate_bipartite_shapes(p)

@@ -2,7 +2,9 @@
 
 A CoefficientMatrix holds the deterministic scalars that multiply the random
 entries.  Patterns below a 5% fill are kept in CSR form so that band matrices
-at n = 1e5 stay affordable; everything else is a dense array.  A pattern owns
+at n = 1e5 stay affordable; everything else is a dense array.  A CSR pattern
+stores exactly its nonzeros, so that every storage draws one variate per
+nonzero coefficient (see ``sampling``).  A pattern owns
 its storage and every buffer of it is read-only (a CSR's data, indices and
 indptr alike), so it never changes after construction, whatever the caller
 does to the matrix it was made from.
@@ -95,7 +97,7 @@ class CoefficientMatrix:
     @property
     def nnz(self):
         if self.is_sparse:
-            return int(np.count_nonzero(self._data.data))
+            return self._data.nnz
         return int(np.count_nonzero(self._data))
 
     def toarray(self):
@@ -108,12 +110,11 @@ class CoefficientMatrix:
         return abs(self._data)
 
     def nonzero_entries(self):
-        """(i, j, b_ij) of all nonzeros in row-major order; stored zeros are skipped."""
+        """(i, j, b_ij) of all nonzeros in row-major order."""
         if self.is_sparse:
-            # the canonical CSR lists its slots row-major
+            # the canonical CSR lists its nonzeros row-major
             coo = self._data.tocoo()
-            keep = coo.data != 0
-            return coo.row[keep], coo.col[keep], coo.data[keep]
+            return coo.row, coo.col, coo.data
         i, j = np.nonzero(self._data)
         return i, j, np.asarray(self._data)[i, j]
 
@@ -126,14 +127,15 @@ class CoefficientMatrix:
 
 
 def _canonical_csr(M, copy=False):
-    """M as a canonical float CSR, with int32 indices where they fit.
+    """M as a canonical float CSR of exactly its nonzeros, int32-indexed where that fits.
 
-    M is never edited.  A CSR already in canonical form shares its buffers
-    with the result unless ``copy``; any other CSR is canonicalized in a
-    copy, and any other format converts into new buffers anyway.
+    M is never edited.  A canonical CSR free of stored zeros shares its
+    buffers with the result unless ``copy``; any other CSR is canonicalized
+    and pruned in a copy, and any other format converts into new buffers.
     """
     data = M.tocsr()
     copy = data is M and (copy or not data.has_canonical_format)
+    shared = data is M and not copy
     # int32 halves the index bytes of int64, and samples, plans and
     # transposes inherit the width
     idx = np.int32 if max(data.nnz, *data.shape) < 2**31 else data.indices.dtype
@@ -146,22 +148,24 @@ def _canonical_csr(M, copy=False):
         shape=data.shape,
     )
     data.sum_duplicates()
+    if not data.data.all():  # prune only when a zero is stored, never in M's buffers
+        data = data.copy() if shared else data
+        data.eliminate_zeros()
     return data
 
 
 def _mirrored_exactly(data, sym_tol):
     """A square pattern that is symmetric within ``sym_tol``, stored exactly mirrored.
 
-    A pattern whose two triangles already agree bit for bit, stored slots
-    included, is kept: a dense one as it is, a sparse one as the transpose
-    the check builds, which has the same structure and value bits and, unlike
-    ``data``, shares no buffer with the caller's matrix.  Otherwise the gap
-    max |b_ij - b_ji| is checked against ``sym_tol`` and the pattern rebuilt
-    from its upper triangle, so that every stored b_ji is b_ij itself: a
-    one-sided stored zero is mirrored (above the diagonal) or dropped (below
-    it), and a nonzero gap within the tolerance takes the upper value.
-    Sampling relies on this: a sample is the variates times the stored
-    values.
+    A pattern whose two triangles already agree bit for bit is kept: a dense
+    one as it is, a sparse one as the transpose the check builds, which has
+    the same structure and value bits and, unlike ``data``, shares no buffer
+    with the caller's matrix.  Otherwise the gap max |b_ij - b_ji| is checked
+    against ``sym_tol`` and the pattern rebuilt from its upper triangle, so
+    that every b_ji is b_ij itself: a one-sided entry is mirrored (above the
+    diagonal) or dropped (below it).  Sampling relies on this: a sample draws
+    one variate per nonzero b_ij with i <= j and multiplies the mirrored
+    variates by the stored values.
     """
     dense = not sp.issparse(data)
     if dense:
@@ -178,9 +182,8 @@ def _mirrored_exactly(data, sym_tol):
             np.subtract(data.data, T.data, out=T.data)
             gap = np.abs(T.data, out=T.data).max()
         else:
-            # a one-sided explicit zero or an asymmetric pattern
-            asym = abs(data - T)
-            gap = asym.data.max() if asym.nnz else 0.0
+            # a nonzero whose mirror is not stored
+            gap = abs(data - T).data.max()
         del T
     if gap > sym_tol:
         raise DataError(f"pattern is not symmetric (max asymmetry {gap:g} > tol {sym_tol:g})")
@@ -248,9 +251,9 @@ def _check_dim(n):
 
 @_interned
 def wigner(n):
-    """All-ones n x n symmetric pattern."""
+    """All-ones n x n symmetric pattern; the constructor's copy is its only n x n array."""
     n = _check_dim(n)
-    return CoefficientMatrix(np.ones((n, n)), "symmetric")
+    return CoefficientMatrix(np.broadcast_to(1.0, (n, n)), "symmetric")
 
 
 @_interned

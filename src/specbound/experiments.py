@@ -145,9 +145,9 @@ class PhaseGridResult:
 
 
 def _row_degrees(C):
-    """Number of nonzeros in each row of the pattern; stored zeros do not count."""
+    """Number of nonzeros in each row of the pattern."""
     if C.is_sparse:
-        return C.data.count_nonzero(axis=1)
+        return np.diff(C.data.indptr)  # a sparse pattern stores exactly its nonzeros
     return np.count_nonzero(C.data, axis=1)
 
 
@@ -202,28 +202,26 @@ def tail_empirics(C, dist, epsilon, trials, t_grid, seed, tol=DEFAULT_NORM_TOL, 
     """
     if trials < 1000:
         raise ParameterError("tails need trials >= 1000 to be meaningful")
-    shape = "symmetric" if C.kind == "symmetric" else "rectangular"
     norms = np.asarray(_trial_norms(C, dist, seed, trials, tol, threads))
     params = coeffs_mod.structural_params(C)
     bounded_sup = {"rademacher": 1.0, "bounded_uniform": math.sqrt(3.0)}.get(dist.family)
     rows = []
     for t in t_grid:
-        threshold, prob = bounds_mod.tail_bound(C, shape, epsilon, t)
+        threshold, prob = bounds_mod.tail_bound(C, C.kind, epsilon, t)
         row = {
             "t": float(t),
             "threshold": threshold,
             "empirical_survival": float(np.mean(norms >= threshold)),
             "bound_value": prob,
         }
-        if bounded_sup is not None and shape == "symmetric":
+        if bounded_sup is not None and C.kind == "symmetric":
             sigma_tilde = params.sigma  # unit-variance entries
             star_tilde = params.sigma_star * bounded_sup
             thr2 = (1.0 + epsilon) * 2.0 * sigma_tilde + t
             row["threshold_var"] = thr2
             row["empirical_survival_var"] = float(np.mean(norms >= thr2))
             row["bound_value_var"] = bounds_mod.tail_bound_second_form(
-                C, epsilon, t, variant="bounded",
-                sigma_tilde=sigma_tilde, sigma_star_tilde=star_tilde,
+                C, epsilon, t, variant="bounded", sigma_star_tilde=star_tilde
             )
         rows.append(row)
     return rows

@@ -6,17 +6,17 @@ SeedSequence hashed into a PCG64 generator (period 2^128), so trials are
 independent of thread count and iteration order.  Gaussians come from
 numpy's ziggurat-based ``standard_normal``.
 
-Symmetric patterns consume one variate per upper-triangle nonzero in
-row-major order and mirror it below the diagonal; rectangular patterns
-consume one variate per stored nonzero in row-major order (all entries for
-dense storage).
+One variate contract holds for every pattern, whatever its kind and
+storage: a trial draws one variate per nonzero coefficient, in row-major
+order (for a symmetric pattern over i <= j, mirrored below the diagonal).
+So the dense and sparse copies of a pattern draw identical samples.
 
 A pattern compiles once into a plan that holds no values: the variate
-count and, for a symmetric pattern, the gather from variates to slots.  A
-sample is the variates read through the gather and multiplied in place by
-the pattern's stored values, which ``CoefficientMatrix`` keeps exactly
-mirrored; a sparse sample shares the pattern's read-only index arrays.  So
-a trial holds the pattern, the plan and one sample's values.
+count and, unless it is sparse rectangular, the gather from variates to
+slots.  A sample is the variates read through the gather and multiplied in
+place by the pattern's stored values, which ``CoefficientMatrix`` keeps
+exactly mirrored; a sparse sample shares the pattern's read-only index
+arrays.  So a trial holds the pattern, the plan and one sample's values.
 """
 
 from __future__ import annotations
@@ -218,39 +218,36 @@ def _symmetric_sparse_plan(A):
     return size, gather
 
 
-def contract_values(C):
-    """The values of C in the variate contract order, as a 1-d array.
+def _dense_mask(C):
+    """Where a dense pattern's variates go: its nonzeros, over i <= j if symmetric."""
+    return np.triu(C.data != 0) if C.kind == "symmetric" else C.data != 0
 
-    The upper triangle (i <= j) of a symmetric pattern, every entry of a
-    rectangular one; row-major, and for sparse storage the stored slots,
-    explicit zeros included.
-    """
+
+def contract_values(C):
+    """The nonzero coefficients of C in the variate contract order (row-major,
+    over i <= j if symmetric) as a 1-d array, the same for every storage."""
     A = C.data
-    if C.kind == "rectangular":
-        return A.data if C.is_sparse else A.ravel()
-    if C.is_sparse:
-        return A.data[A.indices >= _rows(A)]
-    return A[np.triu_indices(C.rows)]
+    if not C.is_sparse:
+        return A[_dense_mask(C)]
+    return A.data if C.kind == "rectangular" else A.data[A.indices >= _rows(A)]
 
 
 def _plan(C):
     """(size, gather, structure) for sampling C; compiled once per pattern.
 
-    One trial draws xi at ``size`` in the contract order (one variate per
-    upper-triangle slot of a symmetric pattern, per stored entry of a
-    rectangular one; a dense rectangular pattern draws at its 2-d shape),
-    reads it through gather where there is one, and multiplies the result
-    in place by the pattern's own stored values.  That product is b_ij xi
-    for every slot because a symmetric pattern is stored exactly mirrored
-    (see ``coeffs.CoefficientMatrix``).  structure is the pattern's own
-    read-only (indptr, indices), shared by every sparse sample, and None for
-    a dense one.
+    One trial draws xi at ``size``, one variate per nonzero coefficient in
+    the contract order, reads it through gather where there is one, and
+    multiplies the result in place by the pattern's own stored values.
+    That product is b_ij xi for every slot because a symmetric pattern is
+    stored exactly mirrored (see ``coeffs.CoefficientMatrix``).  structure
+    is the pattern's own read-only (indptr, indices), shared by every
+    sparse sample, and None for a dense one.
 
-    - symmetric sparse: see ``_symmetric_sparse_plan``;
-    - symmetric dense: gather is the n x n map with gather[i, j] =
-      gather[j, i] = the rank of (i, j) in the row-major upper triangle;
-    - rectangular: there is no gather; a sparse pattern's canonical CSR
-      lists its slots row-major.
+    - sparse symmetric: see ``_symmetric_sparse_plan``;
+    - sparse rectangular: no gather; the canonical CSR lists its nonzeros
+      row-major;
+    - dense: gather holds each nonzero's rank in the contract order,
+      mirrored if symmetric, and 0 where b_ij = 0.
 
     The plan is cached on the immutable pattern.
     """
@@ -258,16 +255,18 @@ def _plan(C):
         plan = getattr(C, "_sampling_plan", None)
         if plan is None:
             A = C.data
-            structure = (A.indptr, A.indices) if C.is_sparse else None
-            if C.kind == "rectangular":
-                plan = (A.nnz if C.is_sparse else A.shape, None, structure)
-            elif C.is_sparse:
-                plan = (*_symmetric_sparse_plan(A), structure)
+            if not C.is_sparse:
+                mask = _dense_mask(C)
+                ranks = np.arange(np.count_nonzero(mask))
+                gather = np.zeros(A.shape, dtype=np.intp)
+                gather[mask] = ranks
+                if C.kind == "symmetric":
+                    gather.T[mask] = ranks
+                plan = (ranks.shape[0], gather, None)
+            elif C.kind == "symmetric":
+                plan = (*_symmetric_sparse_plan(A), (A.indptr, A.indices))
             else:
-                i, j = np.triu_indices(C.rows)
-                gather = np.empty(A.shape, dtype=np.intp)
-                gather[i, j] = gather[j, i] = np.arange(i.shape[0])
-                plan = (i.shape[0], gather, structure)
+                plan = (A.nnz, None, (A.indptr, A.indices))
             C._sampling_plan = plan
     return plan
 
@@ -275,21 +274,22 @@ def _plan(C):
 def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     """One draw of X = (xi_ij b_ij), matching C's storage kind.
 
-    Symmetric patterns get one variate per unordered pair (i <= j), mirrored
-    across the diagonal; the zero pattern of C is preserved exactly.  A
-    sparse sample owns its values and shares C's read-only index arrays.
+    One variate per nonzero b_ij (over i <= j, mirrored, if symmetric); the
+    zero pattern of C is preserved exactly.  A sparse sample owns its values
+    and shares C's read-only index arrays.
     """
     size, gather, structure = _plan(C)
+    A = C.data
+    if structure is None and size == 0:
+        return np.zeros(A.shape)  # an all-zero dense pattern: there is nothing to draw or gather
     vals = draw_entries(dist, seed.generator(stream), size)
     if gather is not None:
         vals = np.take(vals, gather)
-    A = C.data
     if structure is None:
         vals *= A
-        if gather is not None:
-            # dense symmetric samples hold +0.0, never -0.0, where b_ij = 0
-            # (fixed CSV bytes); adding 0.0 changes no other value
-            vals += 0.0
+        # dense samples hold +0.0, never -0.0, where b_ij = 0 (fixed CSV
+        # bytes); adding 0.0 changes no other value
+        vals += 0.0
         return vals
     vals *= A.data
     indptr, indices = structure

@@ -330,7 +330,7 @@ def test_tail_bound_second_form_behaviour():
     with pytest.raises(ParameterError):
         bounds.tail_bound_second_form(C, 0.25, 1.0, variant="bounded")
     v = bounds.tail_bound_second_form(
-        C, 0.25, 50.0, variant="bounded", sigma_tilde=10.0, sigma_star_tilde=1.0
+        C, 0.25, 50.0, variant="bounded", sigma_star_tilde=1.0
     )
     assert 0.0 <= v <= 1.0
 

@@ -92,6 +92,16 @@ def test_cli_moments_census(capsys):
     assert payload["census_size"] == 8
 
 
+@pytest.mark.parametrize("action", ["census", "verify"])
+def test_cli_moments_rejects_a_non_integer_p(capsys, action):
+    # validate rejects it before the command runs
+    code, out, err = run_cli(capsys, "moments", action, "--pattern", "band:5,1", "--p", "2.5")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": "moments needs an integer p"}
+    m = RunManifest(command="moments", pattern="band:5,1", p=2.5, moments_action=action)
+    assert validate(m)["violations"] == ["moments needs an integer p"]
+
+
 def test_cli_validate_command(capsys):
     code, out, _ = run_cli(
         capsys, "validate", "--pattern", "wigner:8", "--epsilon", "0.9"

@@ -377,13 +377,13 @@ def test_sparse_symmetry_check_matches_reference_gap(M, tol):
 
 
 def _mirrored_upper_slots(M):
-    """{(i, j): b_ij} over M's stored upper-triangle slots (i <= j) and their mirrors."""
+    """{(i, j): b_ij} over M's nonzero upper-triangle slots (i <= j) and their mirrors."""
     M = M.tocsr(copy=True)
     M.sum_duplicates()
     coo = M.tocoo()
     slots = {}
     for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-        if i <= j:
+        if i <= j and v != 0:
             slots[i, j] = slots[j, i] = v
     return slots
 
@@ -395,7 +395,7 @@ ACCEPTED_SYMMETRY_CASES = {
 
 @pytest.mark.parametrize("M, tol", ACCEPTED_SYMMETRY_CASES.values(), ids=ACCEPTED_SYMMETRY_CASES.keys())
 def test_accepted_sparse_pattern_stores_its_mirrored_upper_triangle(M, tol):
-    # slot for slot and bit for bit: stored zeros, gaps within tol and signs of zeros too
+    # slot for slot and bit for bit: no stored zero, and gaps within tol take the upper value
     slots = _mirrored_upper_slots(M)
     keys = sorted(slots)
     A = coeffs.CoefficientMatrix(M, "symmetric", sym_tol=tol).data.tocoo()
@@ -456,12 +456,29 @@ def _noncanonical_csr():
     return sp.csr_array(([5.0, 1.0, 1.0], [1, 0, 0], [0, 2, 3]), shape=(2, 2))
 
 
+def _with_stored_zeros(M):
+    """Canonical CSR M with explicit zeros stored where 5 divides i + j (a symmetric set)."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    M.data[(rows + M.indices) % 5 == 0] = 0.0
+    assert M.has_canonical_format and not M.data.all()
+    return M
+
+
 OWNERSHIP_INPUTS = {
     "sparse_symmetric": (lambda: sp.csr_array(coeffs.band_cyclic.__wrapped__(40, 2).toarray()), "symmetric"),
     "sparse_symmetric_int64": (lambda: _random_near_symmetric(40, 4, 0.0, np.int64), "symmetric"),
     "sparse_noncanonical_symmetric": (lambda: _noncanonical_csr() + _noncanonical_csr().T, "symmetric"),
     "sparse_noncanonical_rectangular": (_noncanonical_csr, "rectangular"),
     "sparse_rectangular": (lambda: sp.random(30, 50, density=0.04, random_state=5, format="csr"), "rectangular"),
+    # the pattern drops the zeros, from a copy
+    "sparse_symmetric_stored_zeros": (
+        lambda: _with_stored_zeros(sp.csr_array(coeffs.band_cyclic.__wrapped__(40, 2).toarray())),
+        "symmetric",
+    ),
+    "sparse_rectangular_stored_zeros": (
+        lambda: _with_stored_zeros(sp.random(30, 50, density=0.04, random_state=5, format="csr")),
+        "rectangular",
+    ),
     "dense_symmetric": (lambda: np.array(coeffs.band.__wrapped__(6, 1).toarray()), "symmetric"),
     "dense_rectangular": (lambda: np.arange(12.0).reshape(3, 4) + 1.0, "rectangular"),
 }

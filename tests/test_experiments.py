@@ -5,7 +5,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from specbound import bounds, coeffs, experiments, specnorm
 from specbound.errors import ParameterError
@@ -118,22 +117,6 @@ def test_phase_scan_on_a_live_pattern_matches_a_fresh_process(tmp_path, fresh_py
     assert all(hasattr(C, "_sampling_plan") for C in held)
     fresh_python("-c", _PHASE_CSV, str(tmp_path / "fresh.csv"))
     assert outputs[0] == outputs[1] == (tmp_path / "fresh.csv").read_bytes()
-
-
-def test_row_degrees_skip_stored_zeros():
-    # cyclic 3-band on 12 vertices plus a symmetric pair of stored zeros at (0, 5), (5, 0)
-    n = 12
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, (idx + 1) % n, [0, 5]])
-    cols = np.concatenate([idx, (idx + 1) % n, idx, [5, 0]])
-    vals = np.concatenate([np.ones(3 * n), [0.0, 0.0]])
-    M = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    sparse = coeffs.CoefficientMatrix(M, "symmetric")
-    dense = coeffs.CoefficientMatrix(M.toarray(), "symmetric")
-    assert sparse.is_sparse and sparse.data.nnz == 3 * n + 2
-    for C in (sparse, dense):
-        assert np.array_equal(experiments._row_degrees(C), np.full(n, 3))
-        assert 0.0 < experiments.spectral_density_check(C, GAUSSIAN, seed=3) < 1.0
 
 
 def test_phase_scan_regular_random():

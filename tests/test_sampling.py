@@ -39,36 +39,25 @@ def test_identical_seed_gives_bit_identical_matrices():
 
 def _reference_entries(C):
     """(i, j, b_ij) in the contract order, built independently of the
-    sampling plan: the upper triangle of a symmetric pattern, all entries of
-    a rectangular one, each row-major and, if sparse, its stored entries only."""
-    if not C.is_sparse:
-        i, j = np.triu_indices(C.rows) if C.kind == "symmetric" else np.indices(C.data.shape).reshape(2, -1)
-        return i, j, np.asarray(C.data)[i, j]
-    coo = (sp.triu(C.data, k=0) if C.kind == "symmetric" else C.data).tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return coo.row[order], coo.col[order], coo.data[order]
+    sampling plan and of the storage: the nonzeros of the upper triangle of
+    a symmetric pattern, or of a rectangular one, row-major."""
+    a = np.triu(C.toarray()) if C.kind == "symmetric" else C.toarray()
+    i, j = np.nonzero(a)
+    return i, j, a[i, j]
 
 
 def _reference_sample(C, dist, seed):
-    """A sample built directly from the contract order: mirrored COO -> CSR
-    or a scatter plus its transpose for symmetric patterns, COO -> CSR or
-    an elementwise product for rectangular ones."""
-    rng = seed.generator()
-    if C.kind == "rectangular" and not C.is_sparse:
-        return np.asarray(C.data) * sampling.draw_entries(dist, rng, (C.rows, C.cols))
+    """A sample built directly from the contract order: one variate per
+    reference entry, mirrored for a symmetric pattern, COO -> CSR, and
+    densified (+0.0 off the nonzeros) for a dense pattern."""
     i, j, b = _reference_entries(C)
-    vals = b * sampling.draw_entries(dist, rng, b.shape[0])
-    if C.kind == "rectangular":
-        return sp.coo_array((vals, (i, j)), shape=(C.rows, C.cols)).tocsr()
-    if not C.is_sparse:
-        X = np.zeros((C.rows, C.cols))
-        X[i, j] = vals
-        return X + np.triu(X, 1).T
-    off = i != j
-    rows = np.concatenate([i, j[off]])
-    cols = np.concatenate([j, i[off]])
-    data = np.concatenate([vals, vals[off]])
-    return sp.coo_array((data, (rows, cols)), shape=(C.rows, C.cols)).tocsr()
+    vals = b * sampling.draw_entries(dist, seed.generator(), b.shape[0])
+    if C.kind == "symmetric":
+        off = i != j
+        i, j, vals = np.concatenate([i, j[off]]), np.concatenate([j, i[off]]), np.concatenate([vals, vals[off]])
+    ij = (i.astype(np.int32), j.astype(np.int32))  # the index width of small patterns
+    X = sp.coo_array((vals, ij), shape=(C.rows, C.cols)).tocsr()
+    return X if C.is_sparse else X.toarray()
 
 
 def _arrays(X):
@@ -79,8 +68,7 @@ def _arrays(X):
 
 
 def _reference_max_entry_maxima(C, trials, seed):
-    _, _, b = _reference_entries(C)
-    b = np.abs(b[b != 0])
+    b = np.abs(_reference_entries(C)[2])
     if b.size == 0:
         return []
     return [
@@ -100,9 +88,9 @@ def _one_sided_zero_pattern(i, j):
     rows, cols, vals = [0, 1, 2, 0, 3, 5, i], [0, 1, 0, 2, 3, 5, j], [1.0, 1.0, 2.0, 2.0, 3.0, 1.0, 0.0]
     M = sp.coo_array((vals, (rows, cols)), shape=(6, 6)).tocsr()
     assert M.nnz == 7
-    # stored mirrored: the zero above the diagonal gains its mirror, the one below is dropped
+    # a pattern stores exactly its nonzeros: the zero is dropped on either side
     C = coeffs.CoefficientMatrix(M, "symmetric")
-    assert C.data.nnz == (8 if i < j else 6)
+    assert C.data.nnz == 6 and M.nnz == 7
     return C
 
 
@@ -159,10 +147,69 @@ def test_max_entry_maxima_match_reference(build, tmp_path):
         assert bounds._max_entry_maxima(C, 4, seed) == _reference_max_entry_maxima(C, 4, seed)
 
 
+def _cyclic_band_with_stored_zeros():
+    """Cyclic 3-band on 12 vertices plus a symmetric pair of stored zeros at (0, 5), (5, 0)."""
+    n = 12
+    idx = np.arange(n)
+    rows = np.concatenate([idx, idx, (idx + 1) % n, [0, 5]])
+    cols = np.concatenate([idx, (idx + 1) % n, idx, [5, 0]])
+    vals = np.concatenate([np.ones(3 * n), [0.0, 0.0]])
+    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _rect_dense_entries():
+    """3 x 7 signed values with one zero."""
+    return np.arange(21.0).reshape(3, 7) - 10.0
+
+
+# (matrix, kind): every builder pattern in either storage, and patterns built
+# from input with stored zeros (the file, the cyclic band, rect_sparse)
+COPY_CASES = {
+    "wigner": lambda tmp: (coeffs.wigner(20).data, "symmetric"),
+    "diagonal": lambda tmp: (coeffs.diagonal(50).data, "symmetric"),
+    "band": lambda tmp: (coeffs.band(300, 2).data, "symmetric"),
+    "band_dense": lambda tmp: (coeffs.band(64, 3).data, "symmetric"),
+    "band_cyclic": lambda tmp: (coeffs.band_cyclic(300, 3).data, "symmetric"),
+    "block_diagonal": lambda tmp: (coeffs.block_diagonal(200, 4).data, "symmetric"),
+    "block_diagonal_dense": lambda tmp: (coeffs.block_diagonal(16, 4).data, "symmetric"),
+    "single_entry": lambda tmp: (coeffs.single_entry(30).data, "symmetric"),
+    "log_decay_diagonal": lambda tmp: (coeffs.log_decay_diagonal(40).data, "symmetric"),
+    "regular_random": lambda tmp: (experiments.regular_random_pattern(200, 5, 3).data, "symmetric"),
+    "band_cyclic_stored_zeros": lambda tmp: (_cyclic_band_with_stored_zeros(), "symmetric"),
+    "sparse_csv": lambda tmp: (_sparse_file_pattern(tmp).data, "symmetric"),
+    "rect_sparse": lambda tmp: (_rect_sparse_pattern().data, "rectangular"),
+    "rect_dense": lambda tmp: (_rect_dense_entries(), "rectangular"),
+}
+
+
+@pytest.mark.parametrize("case", COPY_CASES.values(), ids=COPY_CASES.keys())
+def test_dense_and_sparse_copies_draw_identical_samples(case, tmp_path):
+    # the storage never decides which coefficients carry randomness: one
+    # variate per nonzero, stored zeros and dense zeros alike carry none
+    M, kind = case(tmp_path)
+    a = M.toarray() if sp.issparse(M) else np.asarray(M)
+    dense = coeffs.CoefficientMatrix(a, kind)
+    sparse = coeffs.CoefficientMatrix(M if sp.issparse(M) else sp.csr_array(M), kind)
+    assert not dense.is_sparse and sparse.is_sparse
+    for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
+        for dist in (GAUSSIAN, RADEMACHER, HEAVY2):
+            X = sample_matrix(dense, dist, seed)
+            Y = sample_matrix(sparse, dist, seed).toarray()
+            # bitwise, so that the signs of zeros agree too
+            assert np.array_equal(X.view(np.int64), Y.view(np.int64))
+    for seed in (11, 12):
+        assert bounds._max_entry_maxima(dense, 4, seed) == bounds._max_entry_maxima(sparse, 4, seed)
+    degrees = np.count_nonzero(a, axis=1)
+    for C in (dense, sparse):
+        assert np.array_equal(experiments._row_degrees(C), degrees)
+    if kind == "symmetric" and degrees.min() == degrees.max():
+        ks = [experiments.spectral_density_check(C, GAUSSIAN, seed=3) for C in (dense, sparse)]
+        assert 0.0 < ks[0] == ks[1] < 1.0
+
+
 @pytest.mark.parametrize("build", OTHER_BUILDS.values(), ids=OTHER_BUILDS.keys())
 def test_custom_sampler_sees_the_contract_size(build, tmp_path):
-    # one variate per upper-triangle entry or stored entry; a dense
-    # rectangular pattern is drawn at its (rows, cols) shape
+    # one variate per nonzero (over i <= j if symmetric), whatever the storage
     C = build(tmp_path)
     sizes = []
 
@@ -171,9 +218,8 @@ def test_custom_sampler_sees_the_contract_size(build, tmp_path):
         return rng.standard_normal(size)
 
     sample_matrix(C, EntryDistribution("custom", sampler=sampler), SeedSpec(1, 0))
-    _, _, b = _reference_entries(C)
-    want = (C.rows, C.cols) if C.kind == "rectangular" and not C.is_sparse else b.shape[0]
-    assert sizes == [want] and type(sizes[0]) is type(want)
+    want = _reference_entries(C)[2].shape[0]
+    assert sizes == [want] and type(sizes[0]) is int
 
 
 @pytest.mark.parametrize("build", ALL_BUILDS.values(), ids=ALL_BUILDS.keys())
@@ -186,7 +232,7 @@ def test_sampling_plan_compiled_once(build, tmp_path, monkeypatch):
         raise AssertionError("the sampling plan was compiled again")
 
     monkeypatch.setattr(sampling, "_symmetric_sparse_plan", compile_again)
-    monkeypatch.setattr(sampling.np, "triu_indices", compile_again)
+    monkeypatch.setattr(sampling, "_dense_mask", compile_again)
     again = sample_matrix(C, GAUSSIAN, SeedSpec(8, 0))
     assert C._sampling_plan is plan
     for name, arr in _arrays(again).items():
@@ -318,6 +364,13 @@ def test_build_and_plan_compile_peak_memory():
     assert not hasattr(C, "_sampling_plan")
     (_, gather, _), plan_peak = traced_peak(lambda: sampling._plan(C))
     assert plan_peak <= 2.5 * gather.nbytes
+
+
+def test_wigner_build_peak_memory():
+    # the constructor's copy is the only n x n array the build holds, besides
+    # the bool of the bitwise symmetry check
+    C, peak = traced_peak(lambda: coeffs.wigner.__wrapped__(1024))
+    assert peak <= 1.25 * C.data.nbytes
 
 
 def test_sample_peak_memory():
