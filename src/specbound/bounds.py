@@ -301,19 +301,17 @@ def _explicit_lower(C, maxima, trials, seed):
     return NormEstimate(floor, 0.0, trials, seed)
 
 
-def tail_bound(C, shape, epsilon, t):
+def tail_bound(C, epsilon, t):
     """(threshold, probability) of the one-sided deviation bound at level t.
 
     threshold is the expected-norm bound plus t; the probability is
-    exp(-t^2 / (4 sigma_star^2)) for the symmetric form and
-    exp(-t^2 / (2 sigma_star^2)) for the rectangular one.
+    exp(-t^2 / (4 sigma_star^2)) for a symmetric pattern and
+    exp(-t^2 / (2 sigma_star^2)) for a rectangular one.
     """
     if t < 0:
         raise ParameterError(f"t must be >= 0, got {t}")
-    if shape not in ("symmetric", "rectangular"):
-        raise ParameterError(f"shape must be symmetric or rectangular, got {shape!r}")
     p = structural_params(C)
-    if shape == "symmetric":
+    if C.kind == "symmetric":
         base = bound_main(C, epsilon).value
         denom = 4.0 * p.sigma_star**2
     else:

@@ -188,13 +188,12 @@ def validate(m):
                 except (ParameterError, DataError, OSError) as exc:
                     violations.append(f"cannot load pattern: {exc}")
                 else:
-                    if m.p is not None and C.rows ** (2 * m.p) > moments_mod.BRUTE_FORCE_GUARD:
-                        violations.append(
-                            f"n^(2p) = {C.rows}^{2 * m.p} exceeds the guard "
-                            f"{moments_mod.BRUTE_FORCE_GUARD}"
-                        )
-                    if coeffs_mod.structural_params(C).sigma_star > 1 + 1e-12:
-                        violations.append("moments verify requires sigma_star <= 1")
+                    # an integer p in 1..MAX_HALF_LENGTH; the checks above report any other
+                    if m.p in range(1, moments_mod.MAX_HALF_LENGTH + 1):
+                        try:
+                            moments_mod.check_comparison(C, int(m.p))
+                        except (ParameterError, SizeError) as exc:
+                            violations.append(str(exc))
     if m.command in ("bounds", "sample", "norm", "tails", "density", "report"):
         if m.pattern is None and m.matrix_file is None:
             violations.append(f"{m.command} needs a pattern or matrix file")

@@ -207,7 +207,7 @@ def tail_empirics(C, dist, epsilon, trials, t_grid, seed, tol=DEFAULT_NORM_TOL, 
     bounded_sup = {"rademacher": 1.0, "bounded_uniform": math.sqrt(3.0)}.get(dist.family)
     rows = []
     for t in t_grid:
-        threshold, prob = bounds_mod.tail_bound(C, C.kind, epsilon, t)
+        threshold, prob = bounds_mod.tail_bound(C, epsilon, t)
         row = {
             "t": float(t),
             "threshold": threshold,

@@ -3,7 +3,8 @@
 Everything here is exact: shape enumeration is a canonical depth-first
 generation with parity pruning, and the trace-moment engines run on Python
 integers (arbitrary precision) or Fractions, falling back to floats only
-for non-integer coefficient values.
+for non-integer coefficient values.  The engines read a pattern through its
+nonzeros only, never through a dense copy.
 
 A length-2p closed walk u_1 -> u_2 -> ... -> u_2p -> u_1 on the complete
 graph with self-loops is *even* when every distinct undirected edge
@@ -11,6 +12,12 @@ graph with self-loops is *even* when every distinct undirected edge
 relabels vertices in order of first appearance; m(s) is the number of
 distinct vertices and n_i(s) the number of distinct edges visited exactly
 i times.
+
+A *bipartite* (alternating) walk u_1 v_1 ... u_p v_p is an even walk whose
+odd and even positions use disjoint vertex sets: each vertex keeps the
+parity of the position where it first appears, and every step goes to a
+vertex of the other parity, so there are no self-loops.  Its shape
+relabels the u's and the v's separately.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from .coeffs import structural_params
 from .errors import ParameterError, SizeError
-from .sampling import GAUSSIAN, _double_factorial, distribution_moment
+from .sampling import GAUSSIAN, distribution_moment
 
 MAX_HALF_LENGTH = 6          # enumeration guard: p <= 6
 BRUTE_FORCE_GUARD = 10**8    # guard on n^(2p) for the exact tuple sum
@@ -36,9 +43,7 @@ def gaussian_moment(i):
     """E[g^i] for g ~ N(0,1): 0 for odd i, (i-1)!! for even i, exact."""
     if i < 0:
         raise ParameterError("moment order must be >= 0")
-    if i % 2 == 1:
-        return 0
-    return _double_factorial(i - 1)
+    return distribution_moment(GAUSSIAN, i) if i % 2 == 0 else 0
 
 
 def _edge(a, b):
@@ -86,38 +91,22 @@ def shape_of(seq):
     return tuple(out)
 
 
-def edge_multiplicities_of(seq):
-    """Multiset of undirected edge visit counts of the closed walk ``seq``."""
-    counts = Counter()
-    L = len(seq)
-    for idx in range(L):
-        counts[_edge(seq[idx], seq[(idx + 1) % L])] += 1
-    return counts
+def _even_walks(p, bipartite):
+    """Yield (seq, histogram) for every canonical even closed walk of length 2p.
 
-
-def _shape_from_seq(seq):
-    counts = edge_multiplicities_of(seq)
-    hist = Counter(counts.values())
-    return CycleShape(
-        seq=tuple(seq),
-        m=max(seq),
-        edge_multiplicities=tuple(sorted(hist.items())),
-    )
-
-
-def enumerate_shapes(p):
-    """All shapes of even cycles of length 2p, in lexicographic order.
-
-    Depth-first generation of canonical sequences with two prunes: the
-    number of odd-multiplicity edges can never exceed the number of steps
-    left (parity repair), and at most p+1 distinct vertices can appear.
+    Depth-first generation of label sequences (labels in order of first
+    appearance, tried in increasing order, so the sequences come out sorted)
+    with two prunes: the number of odd-multiplicity edges can never exceed
+    the number of steps left (parity repair), and at most p+1 distinct
+    labels can appear.  With ``bipartite`` a step only goes to a label
+    first seen at a position of the other parity.  The histogram is the
+    sorted ((multiplicity, count), ...) of the walk's edge visits.
     """
     if p < 1:
         raise ParameterError("p must be >= 1")
     if p > MAX_HALF_LENGTH:
         raise SizeError(f"p={p} exceeds the enumeration guard {MAX_HALF_LENGTH}")
     L = 2 * p
-    out = []
     seq = [1]
     edges = Counter()
 
@@ -125,102 +114,57 @@ def enumerate_shapes(p):
         pos = len(seq)
         if pos == L:
             e = _edge(seq[-1], 1)
-            final_odd = odd + (1 if edges[e] % 2 == 0 else -1)
-            if final_odd == 0:
+            if odd + (1 if edges[e] % 2 == 0 else -1) == 0:
                 edges[e] += 1
-                out.append(_shape_from_seq(seq))
+                hist = Counter(c for c in edges.values() if c)
+                yield tuple(seq), tuple(sorted(hist.items()))
                 edges[e] -= 1
             return
         for v in range(1, min(maxlab + 1, p + 1) + 1):
+            # a label's parity is that of the position where it first appeared
+            if bipartite and v <= maxlab and seq.index(v) % 2 != pos % 2:
+                continue
             e = _edge(seq[-1], v)
             new_odd = odd + (1 if edges[e] % 2 == 0 else -1)
             if new_odd > L - pos:  # steps left after this edge
                 continue
             seq.append(v)
             edges[e] += 1
-            rec(max(maxlab, v), new_odd)
+            yield from rec(max(maxlab, v), new_odd)
             edges[e] -= 1
             seq.pop()
 
-    rec(1, 0)
-    out.sort(key=lambda s: s.seq)
-    return out
+    yield from rec(1, 0)
+
+
+def enumerate_shapes(p):
+    """All shapes of even cycles of length 2p, in lexicographic order."""
+    return [
+        CycleShape(seq=seq, m=max(seq), edge_multiplicities=hist)
+        for seq, hist in _even_walks(p, bipartite=False)
+    ]
 
 
 def enumerate_bipartite_shapes(p):
     """All shapes of even alternating cycles of length 2p, lexicographic.
 
     Left and right vertices are relabeled separately in order of
-    appearance; edges live on the complete bipartite graph, so there are
-    no self-loops.
+    appearance; the two sides are disjoint, so the walk's edge histogram
+    is the shape's.
     """
-    if p < 1:
-        raise ParameterError("p must be >= 1")
-    if p > MAX_HALF_LENGTH:
-        raise SizeError(f"p={p} exceeds the enumeration guard {MAX_HALF_LENGTH}")
     out = []
-    us = [1]
-    vs = []
-    edges = Counter()
-
-    def emit():
-        seq = []
-        for u, v in zip(us, vs):
-            seq += [u, v]
-        counts = edge_multiplicities_of_bipartite(us, vs)
-        hist = Counter(counts.values())
+    for seq, hist in _even_walks(p, bipartite=True):
+        us, vs = shape_of(seq[0::2]), shape_of(seq[1::2])
         out.append(
             BipartiteShape(
-                seq=tuple(seq),
+                seq=tuple(lab for pair in zip(us, vs) for lab in pair),
                 m1=max(vs),
                 m2=max(us),
-                edge_multiplicities=tuple(sorted(hist.items())),
+                edge_multiplicities=hist,
             )
         )
-
-    def rec(odd):
-        pos = len(us) + len(vs)  # vertices placed so far
-        steps_done = pos - 1
-        if pos == 2 * p:
-            e = (us[0], vs[-1])  # closing edge v_p -> u_1
-            final_odd = odd + (1 if edges[e] % 2 == 0 else -1)
-            if final_odd == 0:
-                emit()
-            return
-        extending_u = len(us) == len(vs)  # next position is a u
-        if extending_u:
-            maxlab = max(us)
-            prev = vs[-1]
-        else:
-            maxlab = max(vs) if vs else 0
-            prev = us[-1]
-        # m1 + m2 <= p + 1 for even cycles
-        budget_new = (p + 1) - (max(us) + (max(vs) if vs else 0))
-        top = maxlab + 1 if budget_new > 0 else maxlab
-        for lab in range(1, top + 1):
-            e = (lab, prev) if extending_u else (prev, lab)
-            new_odd = odd + (1 if edges[e] % 2 == 0 else -1)
-            if new_odd > 2 * p - steps_done - 1:
-                continue
-            (us if extending_u else vs).append(lab)
-            edges[e] += 1
-            rec(new_odd)
-            edges[e] -= 1
-            (us if extending_u else vs).pop()
-
-    rec(0)
     out.sort(key=lambda s: s.seq)
     return out
-
-
-def edge_multiplicities_of_bipartite(us, vs):
-    """Visit counts of the alternating closed walk over (u, v) edges."""
-    counts = Counter()
-    p = len(us)
-    for j in range(p):
-        counts[(us[j], vs[j])] += 1
-        counts[(us[(j + 1) % p], vs[j])] += 1
-    return counts
 
 
 def _moment_table(dist, max_order):
@@ -228,12 +172,39 @@ def _moment_table(dist, max_order):
     return [distribution_moment(dist, i) if i % 2 == 0 else 0 for i in range(max_order + 1)]
 
 
-def _integer_entries(C):
-    a = C.toarray()
-    r = np.round(a)
-    if np.array_equal(a, r) and np.abs(r).max(initial=0) < 2**53:
-        return r.astype(np.int64)
-    return None
+def _adjacency(C):
+    """Per-row {col: b_ij} dicts of C's nonzeros, columns ascending.
+
+    Values are exact Python ints when every nonzero is an integer below
+    2^53, and Python floats otherwise.
+    """
+    rows, cols, vals = C.nonzero_entries()
+    ints = np.round(vals)
+    if np.array_equal(vals, ints) and np.abs(ints).max(initial=0) < 2**53:
+        vals = ints.astype(np.int64)
+    adj = [{} for _ in range(C.rows)]
+    # tolist gives Python scalars: numpy ints would overflow in the products
+    for i, j, b in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        adj[i][j] = b
+    return adj
+
+
+def _check_walks(C, p):
+    """Raise unless the walk sum of trace_moment_bruteforce(C, p) can run."""
+    if p < 1:
+        raise ParameterError("p must be >= 1")
+    if C.kind != "symmetric":
+        raise ParameterError("trace moments are defined for symmetric patterns")
+    if C.rows ** (2 * p) > BRUTE_FORCE_GUARD:
+        raise SizeError(f"n^(2p) = {C.rows}^{2 * p} exceeds the guard {BRUTE_FORCE_GUARD}")
+
+
+def _unit_sigma_star(C):
+    """structural_params(C), after checking that sigma_star <= 1."""
+    params = structural_params(C)
+    if params.sigma_star > 1 + 1e-12:
+        raise ParameterError("sigma_star must be <= 1; rescale the pattern by 1/sigma_star")
+    return params
 
 
 def trace_moment_bruteforce(C, p, dist):
@@ -245,24 +216,9 @@ def trace_moment_bruteforce(C, p, dist):
     integer arithmetic applies when C is integer-valued and the entry
     moments are integers; otherwise double precision.
     """
-    if C.kind != "symmetric":
-        raise ParameterError("trace moments are defined for symmetric patterns")
-    if p < 1:
-        raise ParameterError("p must be >= 1")
-    n = C.rows
-    if n ** (2 * p) > BRUTE_FORCE_GUARD:
-        raise SizeError(f"n^(2p) = {n}^{2 * p} exceeds the guard {BRUTE_FORCE_GUARD}")
-    ints = _integer_entries(C)
-    A = ints if ints is not None else C.toarray()
+    _check_walks(C, p)
+    adj = _adjacency(C)
     moments = _moment_table(dist, 2 * p)
-    neighbors = []
-    for u in range(n):
-        row = A[u]
-        nz = np.nonzero(row)[0]
-        if ints is not None:
-            neighbors.append([(int(v), int(row[v])) for v in nz])
-        else:
-            neighbors.append([(int(v), float(row[v])) for v in nz])
     L = 2 * p
     total = 0
     edges = Counter()
@@ -270,21 +226,20 @@ def trace_moment_bruteforce(C, p, dist):
     def rec(pos, u, start, prod, odd):
         nonlocal total
         if pos == L:
-            b_close = A[u, start]
+            b_close = adj[u].get(start, 0)
             if b_close == 0:
                 return
             e = _edge(u, start)
             if odd + (1 if edges[e] % 2 == 0 else -1) != 0:
                 return
             edges[e] += 1
-            # keep arithmetic in Python scalars: numpy ints would overflow
-            w = prod * (int(b_close) if ints is not None else float(b_close))
+            w = prod * b_close
             for cnt in edges.values():
                 w *= moments[cnt]
             total += w
             edges[e] -= 1
             return
-        for v, b in neighbors[u]:
+        for v, b in adj[u].items():
             e = _edge(u, v)
             new_odd = odd + (1 if edges[e] % 2 == 0 else -1)
             if new_odd > L - pos:
@@ -293,9 +248,14 @@ def trace_moment_bruteforce(C, p, dist):
             rec(pos + 1, v, start, prod * b, new_odd)
             edges[e] -= 1
 
-    for start in range(n):
+    for start in range(C.rows):
         rec(1, start, start, 1, 0)
     return total
+
+
+def _gaussian_weight(shape):
+    """prod_i E[g^i]^(n_i(s)), the all-Gaussian moment product of a shape."""
+    return math.prod(gaussian_moment(mult) ** cnt for mult, cnt in shape.edge_multiplicities)
 
 
 def wigner_trace_moment(r, p):
@@ -308,13 +268,7 @@ def wigner_trace_moment(r, p):
         raise ParameterError("r and p must be >= 1")
     if r <= p:
         raise ParameterError(f"the closed form requires r > p, got r={r}, p={p}")
-    total = 0
-    for s in enumerate_shapes(p):
-        weight = 1
-        for mult, cnt in s.edge_multiplicities:
-            weight *= gaussian_moment(mult) ** cnt
-        total += math.perm(r, s.m) * weight
-    return total
+    return sum(math.perm(r, s.m) * _gaussian_weight(s) for s in enumerate_shapes(p))
 
 
 def rect_trace_moment(r, rprime, p):
@@ -327,13 +281,10 @@ def rect_trace_moment(r, rprime, p):
         raise ParameterError("r, r' and p must be >= 1")
     if not (r > p / 2 and rprime > p / 2):
         raise ParameterError(f"requires r > p/2 and r' > p/2, got r={r}, r'={rprime}, p={p}")
-    total = 0
-    for s in enumerate_bipartite_shapes(p):
-        weight = 1
-        for mult, cnt in s.edge_multiplicities:
-            weight *= gaussian_moment(mult) ** cnt
-        total += math.perm(r, s.m2) * math.perm(rprime, s.m1) * weight
-    return total
+    return sum(
+        math.perm(r, s.m2) * math.perm(rprime, s.m1) * _gaussian_weight(s)
+        for s in enumerate_bipartite_shapes(p)
+    )
 
 
 def shape_weight_check(C, s, u):
@@ -341,19 +292,19 @@ def shape_weight_check(C, s, u):
 
     lhs sums the coefficient product over all cycles with shape ``s``
     starting at vertex ``u`` (distinct vertices, injectively realized);
-    rhs is sigma^(2 (m(s) - 1)).  Requires sigma_star <= 1; the caller
-    asserts lhs <= rhs.
+    rhs is sigma^(2 (m(s) - 1)).  Requires a symmetric pattern with
+    sigma_star <= 1; the caller asserts lhs <= rhs.
     """
-    params = structural_params(C)
-    if params.sigma_star > 1 + 1e-12:
-        raise ParameterError("shape_weight_check requires sigma_star <= 1")
+    if C.kind != "symmetric":
+        raise ParameterError("shape weights are defined for symmetric patterns")
+    params = _unit_sigma_star(C)
     n = C.rows
     m = s.m
     if n ** (m - 1) > WEIGHT_ENUM_GUARD:
         raise SizeError(f"n^(m-1) = {n}^{m - 1} exceeds the guard {WEIGHT_ENUM_GUARD}")
     if not 0 <= u < n:
         raise ParameterError(f"start vertex {u} out of range")
-    A = C.toarray()
+    adj = _adjacency(C)
     L = len(s.seq)
     steps = [(s.seq[idx] - 1, s.seq[(idx + 1) % L] - 1) for idx in range(L)]
     others = [v for v in range(n) if v != u]
@@ -363,7 +314,7 @@ def shape_weight_check(C, s, u):
         phi = (u, *rest)
         prod = 1.0
         for a, b in steps:
-            prod *= A[phi[a], phi[b]]
+            prod *= adj[phi[a]].get(phi[b], 0.0)
             if prod == 0.0:
                 break
         total += prod  # adding a zero product leaves total's bits unchanged
@@ -371,29 +322,33 @@ def shape_weight_check(C, s, u):
     return total, rhs
 
 
+def check_comparison(C, p):
+    """Raise ParameterError or SizeError unless verify_comparison(C, p) can run.
+
+    The pattern must be symmetric and nonzero with sigma_star <= 1, and
+    n^(2p) within BRUTE_FORCE_GUARD.  Needs only the pattern's kind, size
+    and structural parameters.
+    """
+    _check_walks(C, p)
+    if p > MAX_HALF_LENGTH:
+        raise SizeError(f"p={p} exceeds the enumeration guard {MAX_HALF_LENGTH}")
+    if _unit_sigma_star(C).sigma == 0:
+        raise ParameterError("comparison needs a nonzero pattern")
+
+
 def verify_comparison(C, p):
     """Check E Tr[X^(2p)] <= n/(ceil(sigma^2)+p) * E Tr[Y^(2p)], exactly.
 
     Both sides are computed by exact engines (walk sum on the left, the
-    closed-form shape sum on the right); requires sigma_star <= 1.
-    Returns (lhs, rhs, holds).
+    closed-form shape sum on the right); requires check_comparison(C, p)
+    to pass.  Returns (lhs, rhs, holds).
     """
-    params = structural_params(C)
-    if params.sigma_star > 1 + 1e-12:
-        raise ParameterError(
-            "comparison requires sigma_star <= 1; rescale the pattern by 1/sigma_star"
-        )
-    if params.sigma == 0:
-        raise ParameterError("comparison needs a nonzero pattern")
-    n = C.rows
+    check_comparison(C, p)
     # exact ceil(sigma^2): float entries are exact binary rationals
-    a = C.toarray()
-    sigma_sq = max(
-        sum(Fraction(x) * Fraction(x) for x in row) for row in a.tolist()
-    )
+    sigma_sq = max(sum(Fraction(b) ** 2 for b in row.values()) for row in _adjacency(C))
     r = math.ceil(sigma_sq) + p
     lhs = trace_moment_bruteforce(C, p, GAUSSIAN)
-    rhs = Fraction(n, r) * wigner_trace_moment(r, p)
+    rhs = Fraction(C.rows, r) * wigner_trace_moment(r, p)
     if isinstance(lhs, float):
         holds = lhs <= float(rhs)
     else:

@@ -277,21 +277,23 @@ def test_lower_bound_explicit_deterministic():
 
 def test_tail_bound_examples():
     C = coeffs.wigner(64)  # sigma_star = 1
-    thr, prob = bounds.tail_bound(C, "symmetric", 0.25, 4.0)
+    thr, prob = bounds.tail_bound(C, 0.25, 4.0)
     assert prob == pytest.approx(math.exp(-4.0))
     assert thr == pytest.approx(bounds.bound_main(C, 0.25).value + 4.0)
-    _, prob0 = bounds.tail_bound(C, "symmetric", 0.25, 0.0)
+    _, prob0 = bounds.tail_bound(C, 0.25, 0.0)
     assert prob0 == 1.0
-    _, prob_r = bounds.tail_bound(C, "rectangular", 0.25, 2.0)
+    R = coeffs.CoefficientMatrix(np.ones((48, 80)), "rectangular")  # sigma_star = 1
+    thr_r, prob_r = bounds.tail_bound(R, 0.25, 2.0)
     assert prob_r == pytest.approx(math.exp(-2.0))
+    assert thr_r == pytest.approx(bounds.bound_rect(R, 0.25).value + 2.0)
     with pytest.raises(ParameterError):
-        bounds.tail_bound(C, "symmetric", 0.25, -1.0)
+        bounds.tail_bound(C, 0.25, -1.0)
 
 
 def test_tail_bound_decreasing_and_integrable():
     C = coeffs.band(128, 3)
     ts = np.linspace(0.0, 10.0, 101)
-    probs = [bounds.tail_bound(C, "symmetric", 0.3, t)[1] for t in ts]
+    probs = [bounds.tail_bound(C, 0.3, t)[1] for t in ts]
     assert probs[0] == 1.0
     assert all(a > b for a, b in zip(probs, probs[1:]))
     assert np.trapezoid(probs, ts) < math.inf

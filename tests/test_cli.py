@@ -53,6 +53,21 @@ def test_validate_moments_guard():
     assert any("guard" in v for v in rep["violations"])
 
 
+def test_validate_moments_runs_the_comparison_precondition(tmp_path, capsys):
+    path = tmp_path / "rect.csv"
+    path.write_text("1,1,1\n1,1,1\n")
+    m = RunManifest(
+        command="moments", matrix_file=str(path), matrix_kind="rectangular", p=1, moments_action="verify"
+    )
+    message = "trace moments are defined for symmetric patterns"
+    assert validate(m)["violations"] == [message]
+    code, out, err = run_cli(
+        capsys, "moments", "verify", "--matrix-file", str(path), "--matrix-kind", "rectangular", "--p", "1"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
 def test_validate_alpha():
     m = RunManifest(command="bounds", pattern="wigner:8", alpha=2.0)
     rep = validate(m)
@@ -83,6 +98,13 @@ def test_cli_moments_verify(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["holds"] is True and payload["exact"] is True
+
+
+def test_cli_moments_verify_rejects_a_p_beyond_the_enumeration_guard(capsys):
+    # validate must not evaluate n^(2p) for such a p: 5 ** 2e9 overflows a float
+    code, out, err = run_cli(capsys, "moments", "verify", "--pattern", "band:5,1", "--p", "1e9")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": "p exceeds the enumeration guard 6"}
 
 
 def test_cli_moments_census(capsys):

@@ -1,10 +1,13 @@
+import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specbound import coeffs, moments
 from specbound.errors import ParameterError, SizeError
@@ -130,11 +133,29 @@ def test_census_closure_against_oracle(p):
     assert mine == oracle_shapes(p)
 
 
+# p: (|S_2p|, bipartite count); p <= 3 from the exhaustive oracles, the rest
+# computed once and frozen
+CENSUS_SIZES = {1: (2, 1), 2: (8, 3), 3: (50, 12), 4: (433, 62), 5: (4805, 398), 6: (65032, 3062)}
+
+# sha256 of repr(sorted seq list) for p = 1..5 in turn, computed once and frozen
+SEQ_SHA256 = {
+    "enumerate_shapes": "cdde8f27feaf1a44114171b6ba1db8ab084689d1d774f84a69a3877648f6e4f5",
+    "enumerate_bipartite_shapes": "965b3d73737f6b8704681c708bb27ae11aa1b688292666ccd6a98a8d4514f9e7",
+}
+
+
 def test_census_sizes_frozen():
-    # |S_2|, |S_4| from the exhaustive oracle; |S_6| computed once and frozen
-    assert len(moments.enumerate_shapes(1)) == 2
-    assert len(moments.enumerate_shapes(2)) == 8
-    assert len(moments.enumerate_shapes(3)) == 50
+    for p, (plain, bipartite) in CENSUS_SIZES.items():
+        assert len(moments.enumerate_shapes(p)) == plain, p
+        assert len(moments.enumerate_bipartite_shapes(p)) == bipartite, p
+
+
+@pytest.mark.parametrize("name", sorted(SEQ_SHA256))
+def test_shape_sequences_frozen(name):
+    h = hashlib.sha256()
+    for p in range(1, 6):
+        h.update(repr(sorted(s.seq for s in getattr(moments, name)(p))).encode())
+    assert h.hexdigest() == SEQ_SHA256[name]
 
 
 def test_shape_invariants():
@@ -301,6 +322,14 @@ def test_shape_weight_check_exhaustive_small():
                 assert lhs <= rhs + 1e-9, (s.seq, u)
 
 
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4)])
+def test_shape_weight_check_rejects_rectangular(shape):
+    C = coeffs.CoefficientMatrix(np.ones(shape), "rectangular")
+    s = next(s for s in moments.enumerate_shapes(2) if s.seq == (1, 2, 1, 3))
+    with pytest.raises(ParameterError):
+        moments.shape_weight_check(C, s, 0)
+
+
 def test_shape_weight_check_requires_small_sigma_star():
     C = coeffs.CoefficientMatrix(2.0 * np.ones((3, 3)), "symmetric")
     s = moments.enumerate_shapes(1)[0]
@@ -333,3 +362,63 @@ def test_verify_comparison_rescaled_fractional_pattern():
     C = coeffs.CoefficientMatrix(a, "symmetric")
     lhs, rhs, holds = moments.verify_comparison(C, 2)
     assert holds
+
+
+@pytest.mark.parametrize(
+    "build, p, error",
+    [
+        (lambda: coeffs.CoefficientMatrix(np.ones((3, 4)), "rectangular"), 1, ParameterError),
+        (lambda: coeffs.CoefficientMatrix(3.0 * np.ones((3, 3)), "symmetric"), 1, ParameterError),
+        (lambda: coeffs.CoefficientMatrix(np.zeros((3, 3)), "symmetric"), 1, ParameterError),
+        (lambda: coeffs.wigner(100), 6, SizeError),
+        (lambda: coeffs.diagonal(2), 7, SizeError),
+    ],
+    ids=["rectangular", "sigma_star", "zero", "guard", "half_length"],
+)
+def test_verify_comparison_checks_before_reading_the_pattern(monkeypatch, build, p, error):
+    C = build()
+
+    def read(self):
+        raise AssertionError("the pattern was read before the precondition ran")
+
+    monkeypatch.setattr(coeffs.CoefficientMatrix, "toarray", read)
+    monkeypatch.setattr(coeffs.CoefficientMatrix, "nonzero_entries", read)
+    with pytest.raises(error):
+        moments.check_comparison(C, p)
+    with pytest.raises(error):
+        moments.verify_comparison(C, p)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_moment_engines_never_densify(monkeypatch, storage):
+    a = coeffs.band(5, 1).toarray()
+    C = coeffs.CoefficientMatrix(sp.csr_array(a) if storage == "sparse" else a, "symmetric")
+    assert C.is_sparse == (storage == "sparse")
+    s = next(s for s in moments.enumerate_shapes(2) if s.seq == (1, 2, 1, 3))
+    expected = (
+        moments.trace_moment_bruteforce(C, 3, GAUSSIAN),
+        moments.verify_comparison(C, 3),
+        moments.shape_weight_check(C, s, 1),
+    )
+
+    def densify(self):
+        raise AssertionError("a moment engine densified the pattern")
+
+    monkeypatch.setattr(coeffs.CoefficientMatrix, "toarray", densify)
+    assert moments.trace_moment_bruteforce(C, 3, GAUSSIAN) == expected[0]
+    assert moments.verify_comparison(C, 3) == expected[1]
+    assert moments.shape_weight_check(C, s, 1) == expected[2]
+
+
+def test_verify_comparison_memory_follows_the_nonzeros():
+    # band(2000, 1) has 5,998 nonzeros; one dense float copy alone is 32 MB
+    C = coeffs.band(2000, 1)
+    coeffs.structural_params(C)
+    tracemalloc.start()
+    try:
+        lhs, rhs, holds = moments.verify_comparison(C, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert lhs == 5998 and holds  # E Tr[X^2] = sum of b_ij^2
