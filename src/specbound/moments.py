@@ -195,6 +195,10 @@ def _check_walks(C, p):
         raise ParameterError("p must be >= 1")
     if C.kind != "symmetric":
         raise ParameterError("trace moments are defined for symmetric patterns")
+    # a 1 x 1 pattern passes the n^(2p) guard at every p; the walk recurses
+    # once per step, so p itself is bounded too
+    if p > MAX_HALF_LENGTH:
+        raise SizeError(f"p={p} exceeds the enumeration guard {MAX_HALF_LENGTH}")
     if C.rows ** (2 * p) > BRUTE_FORCE_GUARD:
         raise SizeError(f"n^(2p) = {C.rows}^{2 * p} exceeds the guard {BRUTE_FORCE_GUARD}")
 
@@ -325,13 +329,11 @@ def shape_weight_check(C, s, u):
 def check_comparison(C, p):
     """Raise ParameterError or SizeError unless verify_comparison(C, p) can run.
 
-    The pattern must be symmetric and nonzero with sigma_star <= 1, and
-    n^(2p) within BRUTE_FORCE_GUARD.  Needs only the pattern's kind, size
+    The pattern must be symmetric and nonzero with sigma_star <= 1, p at
+    most MAX_HALF_LENGTH, and n^(2p) within BRUTE_FORCE_GUARD.  Needs only the pattern's kind, size
     and structural parameters.
     """
     _check_walks(C, p)
-    if p > MAX_HALF_LENGTH:
-        raise SizeError(f"p={p} exceeds the enumeration guard {MAX_HALF_LENGTH}")
     if _unit_sigma_star(C).sigma == 0:
         raise ParameterError("comparison needs a nonzero pattern")
 

@@ -9,6 +9,18 @@ too small for ARPACK (dim <= 2) are densified.  Rectangular inputs are
 handled through the symmetric dilation [[0, X], [X^T, 0]], whose norm
 equals the largest singular value.
 
+ARPACK's Krylov iteration runs in single precision when ``tol >= 1e-5``
+(``_SINGLE_TOL``) and in double precision below it.  float32's unit
+roundoff (6e-8) sits far below such tolerances: over band samples at
+tol 1e-4 and 1e-5 both precisions took the same matvec counts and reached
+the same true residuals, while at 3e-6 the float32 residual overshot tol
+(1.1 x tol against 0.99 x tol in float64), hence the cut at 1e-5.  A
+sparse input iterates on a float32 copy of its values over its own index
+arrays; a dense one keeps its float64 matvec and rounds the product, so
+no n x n copy is made.  Whatever the iteration's precision, the Ritz
+vector is taken to float64 and one float64 matvec of the input itself
+gives the reported value (the Rayleigh quotient) and its residual.
+
 An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
 basis gains nothing from a second OpenBLAS thread, which mostly spins.
 ``_single_blas_thread`` is the pin; the Monte Carlo layer takes it around
@@ -33,6 +45,7 @@ DENSE_THRESHOLD = 2048      # dense arrays switch from LAPACK to ARPACK above th
 EIG_DENSE_THRESHOLD = 4096  # full-spectrum cap for eigenvalues_all
 
 _START_SEED = 0x5BEC7B0  # fixed start vector; keeps runs bit-reproducible
+_SINGLE_TOL = 1e-5  # ARPACK iterates in float32 at tol >= this
 
 # (package, library glob beside it, get symbol, set symbol) of the OpenBLAS
 # builds that the numpy and scipy wheels bundle
@@ -185,6 +198,14 @@ def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
     construction, and skips the check that ``None`` runs.  ``iterations``
     is the ARPACK matvec count and ``rel_error_bound`` the true residual
     ||Xv - lambda v|| / |lambda|.
+
+    ARPACK iterates in float32 when ``tol >= 1e-5`` (the Monte Carlo
+    default 1e-4 among them) and in float64 below, where float32 rounding
+    would no longer stay under tol.  At either precision ``value`` is the
+    float64 Rayleigh quotient lambda = v^T X v of the normalized Ritz vector
+    v on the input itself, and ``rel_error_bound`` its float64 residual, so
+    by Weyl's inequality an eigenvalue of X lies within
+    ``rel_error_bound * value`` of ``value``.
     """
     if tol <= 0:
         raise ParameterError(f"tol must be > 0, got {tol}")
@@ -229,12 +250,31 @@ def _arpack_norm(M, symmetric, tol):
     n, m = M.shape
     dim = n if symmetric else n + m
     X = M if sp.issparse(M) else np.asarray(M, dtype=float)
-    if symmetric:
-        matvec = X.__matmul__
-    else:
-        # dilation [[0, X], [X^T, 0]]: norm equals the top singular value
+
+    def matvec_of(A):
+        if symmetric:
+            return A.__matmul__
+
+        # dilation [[0, A], [A^T, 0]]: norm equals the top singular value
         def matvec(z):
-            return np.concatenate([X @ z[n:], X.T @ z[:n]])
+            return np.concatenate([A @ z[n:], A.T @ z[:n]])
+
+        return matvec
+
+    exact = matvec_of(X)
+    if tol < _SINGLE_TOL:
+        dtype, matvec = np.float64, exact
+    elif sp.issparse(X):
+        # float32 values over the input's own CSR index arrays
+        dtype, Y = np.float32, X.tocsr()
+        matvec = matvec_of(sp.csr_array((Y.data.astype(dtype), Y.indices, Y.indptr), shape=Y.shape))
+        del Y
+    else:
+        # a float32 copy of a dense X would be n x n; round the product instead
+        dtype = np.float32
+
+        def matvec(z):
+            return exact(z).astype(np.float32)
 
     calls = 0
 
@@ -243,12 +283,12 @@ def _arpack_norm(M, symmetric, tol):
         calls += 1
         return matvec(z)
 
-    op = LinearOperator((dim, dim), matvec=counted, dtype=float)
+    op = LinearOperator((dim, dim), matvec=counted, dtype=dtype)
     # entered after the import, which loads scipy's OpenBLAS: the pin then
     # covers that library even when an outer pin was taken before it loaded
     with _single_blas_thread:
         try:
-            w, v = eigsh(op, k=1, which="LM", tol=tol, v0=_start_vector(dim))
+            _, v = eigsh(op, k=1, which="LM", tol=tol, v0=_start_vector(dim).astype(dtype))
         except ArpackNoConvergence as exc:
             best = None
             if len(exc.eigenvalues):
@@ -256,8 +296,12 @@ def _arpack_norm(M, symmetric, tol):
             raise NonConvergenceError(
                 f"ARPACK did not reach tol={tol:g} after {calls} matvecs", best=best
             ) from exc
-        lam, v = float(w[0]), v[:, 0]
-        rel = float(np.linalg.norm(matvec(v) - lam * v)) / abs(lam)
+        del op, matvec  # frees the float32 values before the float64 matvec
+        v = v[:, 0].astype(np.float64)
+        v /= np.linalg.norm(v)
+        Xv = exact(v)
+        lam = float(v @ Xv)  # Rayleigh quotient
+        rel = float(np.linalg.norm(Xv - lam * v)) / abs(lam)
     return NormResult(abs(lam), "lanczos", calls, rel)
 
 

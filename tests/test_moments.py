@@ -245,6 +245,14 @@ def test_bruteforce_guard_and_kind():
         moments.trace_moment_bruteforce(rect, 1, GAUSSIAN)
 
 
+@pytest.mark.parametrize("p", [7, 600])
+def test_bruteforce_bounds_p_on_a_one_by_one_pattern(p):
+    # 1^(2p) passes the n^(2p) guard at every p; the half-length guard
+    # stops the walk before it recurses 2p deep
+    with pytest.raises(SizeError, match="enumeration guard"):
+        moments.trace_moment_bruteforce(coeffs.diagonal(1), p, GAUSSIAN)
+
+
 def test_wigner_trace_moment_examples():
     for r in (2, 3, 5, 9):
         assert moments.wigner_trace_moment(r, 1) == r * r

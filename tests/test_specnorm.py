@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,65 @@ def test_zero_matrix():
 def test_sparse_identity_is_exactly_one():
     X = sp.eye_array(3000, format="csr")
     assert spectral_norm(X).value == 1.0
+
+
+@pytest.mark.parametrize("tol, dtype", [(1e-4, np.float32), (1e-5, np.float32), (1e-6, np.float64)])
+def test_arpack_precision_follows_tol(monkeypatch, tol, dtype):
+    real_eigsh = scipy.sparse.linalg.eigsh
+    seen = []
+
+    def watched(A, *args, **kwargs):
+        seen.append((A.dtype, kwargs["v0"].dtype))
+        return real_eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", watched)
+    r = spectral_norm(_band_sample(), tol=tol)
+    assert seen == [(dtype, dtype)]
+    assert type(r.value) is float and type(r.rel_error_bound) is float
+
+
+def _weyl_cases():
+    def sym_sample(C, seed):
+        return sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(seed, 0))
+
+    rng = np.random.default_rng(21)
+    rect = sp.random_array((300, 180), density=0.05, rng=rng, format="csr")
+    return {
+        "band_cyclic": lambda: sym_sample(coeffs.band_cyclic(2000, 5), 1),
+        "block_diagonal": lambda: sym_sample(coeffs.block_diagonal(1200, 30), 2),
+        "regular_random": lambda: sym_sample(experiments.regular_random_pattern(1000, 9, 3), 3),
+        "dense": lambda: _rand_sym(400, 4),
+        "rectangular": lambda: rect,
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("case", sorted(_weyl_cases()))
+def test_rel_error_bound_is_a_guarantee(case, tol):
+    # Weyl: some eigenvalue lies within ||Xv - lam v|| of lam, so the
+    # reported bound must cover the distance to the exact norm at both
+    # iteration precisions
+    X = _weyl_cases()[case]()
+    r = spectral_norm(X, tol=tol, method="lanczos")
+    assert r.method == "lanczos" and r.iterations > 0
+    A = X.toarray() if sp.issparse(X) else X
+    if case == "rectangular":
+        ref = np.linalg.svd(A, compute_uv=False)[0]
+    else:
+        ref = np.abs(np.linalg.eigvalsh(A)).max()
+    assert abs(r.value - ref) <= r.rel_error_bound * r.value
+
+
+def test_dense_lanczos_solve_allocates_no_square_copy():
+    A = _rand_sym(1500, 5)
+    tracemalloc.start()
+    try:
+        r = spectral_norm(A, tol=1e-4, method="lanczos", symmetric=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.method == "lanczos"
+    assert peak < A.nbytes / 4
 
 
 @pytest.fixture
