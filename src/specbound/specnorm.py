@@ -9,17 +9,21 @@ too small for ARPACK (dim <= 2) are densified.  Rectangular inputs are
 handled through the symmetric dilation [[0, X], [X^T, 0]], whose norm
 equals the largest singular value.
 
-ARPACK's Krylov iteration runs in single precision when ``tol >= 1e-5``
-(``_SINGLE_TOL``) and in double precision below it.  float32's unit
-roundoff (6e-8) sits far below such tolerances: over band samples at
-tol 1e-4 and 1e-5 both precisions took the same matvec counts and reached
-the same true residuals, while at 3e-6 the float32 residual overshot tol
-(1.1 x tol against 0.99 x tol in float64), hence the cut at 1e-5.  A
-sparse input iterates on a float32 copy of its values over its own index
-arrays; a dense one keeps its float64 matvec and rounds the product, so
-no n x n copy is made.  Whatever the iteration's precision, the Ritz
-vector is taken to float64 and one float64 matvec of the input itself
-gives the reported value (the Rayleigh quotient) and its residual.
+ARPACK's Krylov iteration on sparse input runs in single precision when
+``tol >= 1e-5`` (``_SINGLE_TOL``) and in double precision below it.
+float32's unit roundoff (6e-8) sits far below such tolerances: over band
+samples at tol 1e-4 and 1e-5 both precisions took the same matvec counts
+and reached the same true residuals, while at 3e-6 the float32 residual
+overshot tol (1.1 x tol against 0.99 x tol in float64), hence the cut at
+1e-5.  The iteration uses a float32 copy of the input's values over its
+own index arrays.  An input whose largest entry lies outside
+[2^-64, 2^64] is first scaled by a power of two, so no magnitude
+representable in float64 overflows float32 or flushes to zero.
+Dense input keeps the float64 operator at every tol: its O(n^2) matvec
+outweighs the O(n * ncv) basis work that float32 would speed up.
+Whatever the iteration's precision, the Ritz vector is taken to float64
+and one float64 matvec of the input itself gives the reported value (the
+Rayleigh quotient) and its residual.
 
 An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
 basis gains nothing from a second OpenBLAS thread, which mostly spins.
@@ -199,9 +203,10 @@ def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
     is the ARPACK matvec count and ``rel_error_bound`` the true residual
     ||Xv - lambda v|| / |lambda|.
 
-    ARPACK iterates in float32 when ``tol >= 1e-5`` (the Monte Carlo
-    default 1e-4 among them) and in float64 below, where float32 rounding
-    would no longer stay under tol.  At either precision ``value`` is the
+    ARPACK iterates in float32 on sparse input when ``tol >= 1e-5`` (the
+    Monte Carlo default 1e-4 among them) and in float64 below, where
+    float32 rounding would no longer stay under tol; dense input iterates
+    in float64.  At either precision ``value`` is the
     float64 Rayleigh quotient lambda = v^T X v of the normalized Ritz vector
     v on the input itself, and ``rel_error_bound`` its float64 residual, so
     by Weyl's inequality an eigenvalue of X lies within
@@ -238,11 +243,12 @@ def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
             value = float(np.linalg.svd(A, compute_uv=False)[0])
         return NormResult(value, "dense_eig", 0, np.finfo(float).eps * max(n, m))
 
-    return _arpack_norm(M, symmetric, tol)
+    return _arpack_norm(M, symmetric, tol, peak)
 
 
-def _arpack_norm(M, symmetric, tol):
-    """Largest |eigenvalue| of M (of its dilation if not symmetric) by eigsh."""
+def _arpack_norm(M, symmetric, tol, peak):
+    """Largest |eigenvalue| of M (of its dilation if not symmetric) by eigsh;
+    ``peak`` is max |entry| of M."""
     # imported on first use: runs that only solve dense matrices skip its
     # import time and memory
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -262,19 +268,21 @@ def _arpack_norm(M, symmetric, tol):
         return matvec
 
     exact = matvec_of(X)
-    if tol < _SINGLE_TOL:
-        dtype, matvec = np.float64, exact
-    elif sp.issparse(X):
-        # float32 values over the input's own CSR index arrays
-        dtype, Y = np.float32, X.tocsr()
-        matvec = matvec_of(sp.csr_array((Y.data.astype(dtype), Y.indices, Y.indptr), shape=Y.shape))
-        del Y
+    if tol < _SINGLE_TOL or not sp.issparse(X):
+        scale, dtype, matvec = 1.0, np.float64, exact
     else:
-        # a float32 copy of a dense X would be n x n; round the product instead
-        dtype = np.float32
-
-        def matvec(z):
-            return exact(z).astype(np.float32)
+        # float32 values over the input's own CSR index arrays.  A peak
+        # outside [2^-64, 2^64] is first scaled by the power of two that puts
+        # it in [0.5, 1): exactly, and so that values, matvecs and Lanczos
+        # coefficients (at most 2^31 * peak) stay inside float32's range.
+        # Inputs of ordinary magnitude iterate on their own values.
+        e = math.frexp(peak)[1]
+        scale = math.ldexp(1.0, -e) if abs(e) > 64 else 1.0
+        dtype, Y = np.float32, X.tocsr()
+        values = np.empty(Y.data.shape, dtype)
+        np.multiply(Y.data, scale, out=values, casting="same_kind")
+        matvec = matvec_of(sp.csr_array((values, Y.indices, Y.indptr), shape=Y.shape))
+        del Y, values
 
     calls = 0
 
@@ -292,7 +300,8 @@ def _arpack_norm(M, symmetric, tol):
         except ArpackNoConvergence as exc:
             best = None
             if len(exc.eigenvalues):
-                best = NormResult(float(np.abs(exc.eigenvalues).max()), "lanczos", calls, math.nan)
+                top = float(np.abs(exc.eigenvalues).max()) / scale
+                best = NormResult(top, "lanczos", calls, math.nan)
             raise NonConvergenceError(
                 f"ARPACK did not reach tol={tol:g} after {calls} matvecs", best=best
             ) from exc

@@ -214,8 +214,13 @@ def test_sparse_identity_is_exactly_one():
     assert spectral_norm(X).value == 1.0
 
 
-@pytest.mark.parametrize("tol, dtype", [(1e-4, np.float32), (1e-5, np.float32), (1e-6, np.float64)])
-def test_arpack_precision_follows_tol(monkeypatch, tol, dtype):
+@pytest.mark.parametrize(
+    "dense, tol, dtype",
+    [(False, 1e-4, np.float32), (False, 1e-5, np.float32), (False, 1e-6, np.float64),
+     (True, 1e-4, np.float64)],
+)
+def test_arpack_precision_follows_tol(monkeypatch, dense, tol, dtype):
+    # sparse input iterates in float32 from tol 1e-5 up; dense input never
     real_eigsh = scipy.sparse.linalg.eigsh
     seen = []
 
@@ -224,9 +229,46 @@ def test_arpack_precision_follows_tol(monkeypatch, tol, dtype):
         return real_eigsh(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", watched)
-    r = spectral_norm(_band_sample(), tol=tol)
+    X = _rand_sym(100, 6) if dense else _band_sample()
+    r = spectral_norm(X, tol=tol, method="lanczos")
     assert seen == [(dtype, dtype)]
     assert type(r.value) is float and type(r.rel_error_bound) is float
+
+
+def _scaled_cases():
+    rng = np.random.default_rng(22)
+    return {
+        "band_cyclic": lambda: _band_sample(),
+        "rectangular": lambda: sp.random_array((300, 180), density=0.05, rng=rng, format="csr"),
+    }
+
+
+@pytest.mark.parametrize("factor", [1e40, 1e-46])
+@pytest.mark.parametrize("case", sorted(_scaled_cases()))
+def test_float32_iteration_holds_any_magnitude(case, factor):
+    # 1e40 overflows float32 and 1e-46 flushes to zero in it; the iteration
+    # must see the same operator as for the unscaled input
+    X = _scaled_cases()[case]()
+    base = spectral_norm(X, tol=1e-4)
+    r = spectral_norm(X * factor, tol=1e-4)
+    assert r.iterations == base.iterations
+    assert r.value == pytest.approx(base.value * factor, rel=1e-12)
+    assert r.rel_error_bound <= 1e-4
+
+
+def test_nonconvergence_best_is_on_the_input_scale(monkeypatch):
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def stalls(*args, **kwargs):
+        w, v = real_eigsh(*args, **kwargs)
+        raise ArpackNoConvergence("no convergence", w, v)
+
+    X = _band_sample()
+    base = spectral_norm(X, tol=1e-4).value
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalls)
+    with pytest.raises(NonConvergenceError) as info:
+        spectral_norm(X * 1e40, tol=1e-4)
+    assert info.value.best.value == pytest.approx(base * 1e40, rel=1e-4)
 
 
 def _weyl_cases():
