@@ -12,11 +12,22 @@ order (for a symmetric pattern over i <= j, mirrored below the diagonal).
 So the dense and sparse copies of a pattern draw identical samples.
 
 A pattern compiles once into a plan that holds no values: the variate
-count and, unless it is sparse rectangular, the gather from variates to
-slots.  A sample is the variates read through the gather and multiplied in
-place by the pattern's stored values, which ``CoefficientMatrix`` keeps
-exactly mirrored; a sparse sample shares the pattern's read-only index
-arrays.  So a trial holds the pattern, the plan and one sample's values.
+count and, unless it is sparse rectangular or dense rectangular without a
+zero coefficient, the gather from variates to slots.  A sample is the
+variates read through the gather and multiplied in place by the pattern's
+stored values, which ``CoefficientMatrix`` keeps exactly mirrored; a sparse
+sample shares the pattern's read-only index arrays.  So a trial holds the
+pattern, the plan and one sample's values.
+
+A sparse symmetric pattern whose nonzeros lie on few cyclic diagonals also
+has a banded layout, compiled once on first use: its d distinct offsets
+s = (j - i) mod n, taken in (-n/2, n/2] and running from lo to hi, qualify
+when ``d * (n + hi - lo) <= 1.25 * nnz`` (``_BANDED_FILL``).  band,
+band_cyclic, diagonal and log_decay_diagonal qualify; block_diagonal with
+blocks of 2 or more, regular_random and single_entry do not.
+``sample_banded`` draws the same variates into a
+``specnorm.BandedMatrix``: every entry equals ``sample_matrix``'s bit for
+bit, only the layout differs.  The Monte Carlo trials solve on it.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError
+from .specnorm import BandedMatrix
 
 FAMILIES = ("gaussian", "rademacher", "bounded_uniform", "heavy_tailed", "custom")
 
@@ -41,6 +53,7 @@ STREAM_PATTERN = 3
 
 _SQRT3 = math.sqrt(3.0)
 _PLAN_LOCK = threading.Lock()  # one plan compile per pattern when trials run on threads
+_BANDED_FILL = 1.25  # a banded layout holds at most this many slots per nonzero
 
 
 @dataclass(frozen=True)
@@ -246,29 +259,144 @@ def _plan(C):
     - sparse symmetric: see ``_symmetric_sparse_plan``;
     - sparse rectangular: no gather; the canonical CSR lists its nonzeros
       row-major;
+    - dense rectangular without a zero coefficient: no gather; the variates
+      fill the sample row-major;
     - dense: gather holds each nonzero's rank in the contract order,
       mirrored if symmetric, and 0 where b_ij = 0.
 
     The plan is cached on the immutable pattern.
     """
+    return _cached(C, "_sampling_plan", _compile_plan)
+
+
+def _cached(C, name, compile):
+    """compile(C), computed once per pattern and kept as its attribute ``name``."""
     with _PLAN_LOCK:
-        plan = getattr(C, "_sampling_plan", None)
-        if plan is None:
-            A = C.data
-            if not C.is_sparse:
-                mask = _dense_mask(C)
-                ranks = np.arange(np.count_nonzero(mask))
-                gather = np.zeros(A.shape, dtype=np.intp)
-                gather[mask] = ranks
-                if C.kind == "symmetric":
-                    gather.T[mask] = ranks
-                plan = (ranks.shape[0], gather, None)
-            elif C.kind == "symmetric":
-                plan = (*_symmetric_sparse_plan(A), (A.indptr, A.indices))
-            else:
-                plan = (A.nnz, None, (A.indptr, A.indices))
-            C._sampling_plan = plan
-    return plan
+        try:
+            return getattr(C, name)
+        except AttributeError:
+            plan = compile(C)
+            setattr(C, name, plan)
+            return plan
+
+
+def _compile_plan(C):
+    A = C.data
+    if C.is_sparse:
+        if C.kind == "symmetric":
+            return (*_symmetric_sparse_plan(A), (A.indptr, A.indices))
+        return (A.nnz, None, (A.indptr, A.indices))
+    mask = _dense_mask(C)
+    if C.kind == "rectangular" and mask.all():
+        return (A.size, None, None)
+    ranks = np.arange(np.count_nonzero(mask))
+    gather = np.zeros(A.shape, dtype=np.intp)
+    gather[mask] = ranks
+    if C.kind == "symmetric":
+        gather.T[mask] = ranks
+    return (ranks.shape[0], gather, None)
+
+
+def _row_blocks(A):
+    """(first slot, row, column) of each run of whole CSR rows holding about
+    a sixteenth of A's slots (at least 1024), so that a pass over the slots
+    keeps temporaries well below the bytes of an nnz-sized int32 array."""
+    indptr, indices = A.indptr, A.indices
+    step = max(A.nnz >> 4, 1 << 10)
+    cuts = np.searchsorted(indptr, np.arange(0, indptr[-1], step), side="right") - 1
+    starts = np.unique(cuts).tolist()
+    for r0, r1 in zip(starts, starts[1:] + [A.shape[0]]):
+        a, b = int(indptr[r0]), int(indptr[r1])
+        rows = np.repeat(np.arange(r0, r1, dtype=indices.dtype), np.diff(indptr[r0 : r1 + 1]))
+        yield a, rows, indices[a:b]
+
+
+def _banded_plan(C):
+    """(size, gather, b, holes, offsets) of C's banded layout, or None.
+
+    ``offsets`` are the d distinct cyclic offsets of C's nonzeros in
+    (-n/2, n/2], ascending from lo to hi.  ``gather`` (d x (n + hi - lo),
+    int32 where the ranks fit) maps the slot of entry (i, (i + s) mod n),
+    row k of offset s and column i + s - lo, to its variate's rank in the
+    contract order; ``holes`` lists the flat slots that hold no entry (they
+    read variate 0 and are set to 0).  ``b`` is the contract-order
+    coefficients, None when all are 1.
+
+    Upper entries (j >= i) take their ranks in one pass over the CSR in
+    blocks.  Diagonal -s holds at row i the mirror of diagonal s at row
+    i - s mod n, so each lower entry then takes the rank of its mirror by
+    ``np.roll`` of the partner diagonal (offset n/2 is its own partner).
+    The compile holds the gather and block-sized temporaries, and no
+    nnz-sized array besides.
+    """
+    if not (C.is_sparse and C.kind == "symmetric" and C.nnz):
+        return None
+    A = C.data
+    n = A.shape[0]
+    present = np.zeros(n, dtype=bool)
+    for _, i, j in _row_blocks(A):
+        present[(j - i) % n] = True
+    cyclic = np.flatnonzero(present)
+    offsets = np.concatenate([cyclic[cyclic > n // 2] - n, cyclic[cyclic <= n // 2]])
+    lo, hi, d = int(offsets[0]), int(offsets[-1]), offsets.shape[0]
+    width = n + hi - lo
+    if d * width > _BANDED_FILL * A.nnz:
+        return None
+    row_of = np.empty(n, dtype=np.intp)  # gather row of each offset mod n
+    row_of[offsets % n] = np.arange(d)
+    upper = (A.nnz + np.count_nonzero(A.diagonal())) // 2
+    gather = np.full((d, width), -1, dtype=np.int32 if upper < 2**31 else np.intp)
+    flat = gather.reshape(-1)
+    unit = A.data.min() == A.data.max() == 1.0
+    b = None if unit else np.empty(upper)
+    size = 0
+    for a, i, j in _row_blocks(A):
+        up = j >= i
+        i = i[up]
+        s = j[up] - i
+        k = row_of[s]
+        s[s > n // 2] -= n
+        s += i - lo  # the slot's column
+        flat[k * width + s] = np.arange(size, size + k.shape[0], dtype=gather.dtype)
+        if b is not None:
+            b[size : size + k.shape[0]] = A.data[a : a + up.shape[0]][up]
+        size += k.shape[0]
+    for s in offsets[offsets > 0].tolist():
+        plus = gather[row_of[s], s - lo : s - lo + n]
+        mirror = offsets[row_of[-s % n]]
+        minus = gather[row_of[-s % n], mirror - lo : mirror - lo + n]
+        from_plus, from_minus = np.roll(plus, s), np.roll(minus, -s)
+        np.maximum(minus, from_plus, out=minus)
+        np.maximum(plus, from_minus, out=plus)
+    holes = np.flatnonzero(flat < 0)
+    flat[holes] = 0
+    return size, gather, b, holes, offsets
+
+
+def has_banded_layout(C):
+    """Whether C has a banded layout for ``sample_banded`` (compiled on first use)."""
+    return _cached(C, "_banded_sampling_plan", _banded_plan) is not None
+
+
+def sample_banded(C, dist, seed, stream=STREAM_SAMPLE):
+    """``sample_matrix(C, dist, seed, stream)`` as a ``specnorm.BandedMatrix``.
+
+    The same variates, multiplied in place by the contract-order
+    coefficients and gathered once into C's banded layout, so every entry
+    equals ``sample_matrix``'s bit for bit.  C must have a banded layout
+    (``has_banded_layout``).
+    """
+    plan = _cached(C, "_banded_sampling_plan", _banded_plan)
+    if plan is None:
+        raise ParameterError(f"{C!r} has no banded layout")
+    size, gather, b, holes, offsets = plan
+    vals = draw_entries(dist, seed.generator(stream), size)
+    if b is not None:
+        vals *= b
+    # fancy indexing reads the int32 gather as it is; np.take would copy it to intp
+    out = vals[gather]
+    out.reshape(-1)[holes] = 0.0
+    return BandedMatrix(out, offsets)
 
 
 def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
@@ -286,6 +414,7 @@ def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     if gather is not None:
         vals = np.take(vals, gather)
     if structure is None:
+        vals = vals.reshape(A.shape)  # a view; the shape a gather already gave
         vals *= A
         # dense samples hold +0.0, never -0.0, where b_ij = 0 (fixed CSV
         # bytes); adding 0.0 changes no other value

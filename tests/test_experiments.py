@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from specbound import bounds, coeffs, experiments, specnorm
+from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import ParameterError
 from specbound.sampling import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
 
@@ -114,7 +114,8 @@ def test_phase_scan_on_a_live_pattern_matches_a_fresh_process(tmp_path, fresh_py
         grid = experiments.phase_scan("band", [256, 512], "const:5", GAUSSIAN, trials=4, seed=21)
         grid.write_csv(tmp_path / f"live{i}.csv")
         outputs.append((tmp_path / f"live{i}.csv").read_bytes())
-    assert all(hasattr(C, "_sampling_plan") for C in held)
+    # band trials sample through the banded layout, cached beside the CSR plan
+    assert all(C._banded_sampling_plan is not None for C in held)
     fresh_python("-c", _PHASE_CSV, str(tmp_path / "fresh.csv"))
     assert outputs[0] == outputs[1] == (tmp_path / "fresh.csv").read_bytes()
 
@@ -145,9 +146,10 @@ def test_symmetric_trials_skip_the_symmetry_check(monkeypatch):
 
 
 def test_trials_go_through_the_module_names(monkeypatch):
-    # the trial helper looks sample_matrix, spectral_norm and max_row_norm
-    # up in experiments at call time, so wrappers installed there see every trial
-    calls = {"sample_matrix": 0, "spectral_norm": 0, "max_row_norm": 0}
+    # the trial helper looks sample_matrix, sample_banded, spectral_norm and
+    # max_row_norm up in experiments at call time, so wrappers installed
+    # there see every trial
+    calls = {"sample_matrix": 0, "sample_banded": 0, "spectral_norm": 0, "max_row_norm": 0}
     for name in calls:
         original = getattr(experiments, name)
 
@@ -159,15 +161,21 @@ def test_trials_go_through_the_module_names(monkeypatch):
     experiments.phase_scan("band", [64, 128], "const:3", GAUSSIAN, trials=3, seed=1)
     experiments.estimate_expected_norm(coeffs.band(64, 2), GAUSSIAN, 4, seed=3)
     experiments.bounds_vs_empirical_report(coeffs.wigner(8), GAUSSIAN, 0.5, 5, seed=4)
-    assert calls == {"sample_matrix": 15, "spectral_norm": 15, "max_row_norm": 5}
+    # band_cyclic(64, 1) and (128, 1) are banded, band(64, 2) is dense; the
+    # report's row norms keep the CSR sample of a sparse band
+    experiments.estimate_expected_norm(coeffs.band(300, 2), GAUSSIAN, 2, seed=5)
+    experiments.bounds_vs_empirical_report(coeffs.band(300, 2), GAUSSIAN, 0.5, 2, seed=6)
+    assert calls == {"sample_matrix": 11, "sample_banded": 8, "spectral_norm": 19, "max_row_norm": 7}
 
 
 def test_phase_scan_divides_each_trial_by_root_k():
     grid = experiments.phase_scan("band", [64, 128], "const:5", GAUSSIAN, trials=4, seed=2)
     for cell, n in enumerate((64, 128)):
         C = coeffs.band_cyclic(n, 2)
+        # n = 64 is stored dense; n = 128 solves on its banded samples
+        sample = sampling.sample_banded if sampling.has_banded_layout(C) else sample_matrix
         ratios = [
-            specnorm.spectral_norm(sample_matrix(C, GAUSSIAN, SeedSpec(2, cell * 4 + t)), tol=1e-4).value
+            specnorm.spectral_norm(sample(C, GAUSSIAN, SeedSpec(2, cell * 4 + t)), tol=1e-4).value
             / math.sqrt(5)
             for t in range(4)
         ]

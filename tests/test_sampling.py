@@ -119,6 +119,7 @@ OTHER_BUILDS = {
     "wigner": lambda tmp: coeffs.wigner(20),
     "band_dense": lambda tmp: coeffs.band(64, 3),
     "rect_dense": lambda tmp: coeffs.CoefficientMatrix(np.arange(21.0).reshape(3, 7) - 10.0, "rectangular"),
+    "rect_dense_no_zero": lambda tmp: coeffs.CoefficientMatrix(np.arange(21.0).reshape(3, 7) - 10.5, "rectangular"),
     "rect_sparse": lambda tmp: _rect_sparse_pattern(),
 }
 ALL_BUILDS = {**SPARSE_BUILDS, **OTHER_BUILDS}
@@ -343,6 +344,127 @@ def test_symmetric_sparse_plan_matches_reference(build, tmp_path):
         assert np.array_equal(X.data.view(np.int64), want.view(np.int64))
 
 
+def _half_offset_pattern():
+    """Symmetric 10 x 10 CSR on the single cyclic offset n/2 = 5, weighted,
+    with one mirrored pair left out."""
+    n = 10
+    i = np.arange(n)
+    j = (i + n // 2) % n
+    keep = (i != 1) & (j != 1)
+    vals = 1.0 + 0.25 * np.minimum(i, j)[keep]
+    return coeffs.CoefficientMatrix(sp.coo_array((vals, (i[keep], j[keep])), shape=(n, n)).tocsr(), "symmetric")
+
+
+def _weighted_cyclic_band_with_holes():
+    """band_cyclic(120, 4) with signed weights and two mirrored pairs left out."""
+    A = coeffs.band_cyclic(120, 4).toarray() * (np.add.outer(np.arange(120.0), np.arange(120.0)) % 7 - 2.5)
+    for i, j in ((0, 118), (50, 53)):
+        A[i, j] = A[j, i] = 0.0
+    return coeffs.CoefficientMatrix(sp.csr_array(A), "symmetric")
+
+
+# every builder the banded rule admits, and custom CSR patterns on the
+# edges of the layout: offset n/2, holes, weights
+BANDED_BUILDS = {
+    "band": lambda: coeffs.band(300, 2),
+    "band_cyclic": lambda: coeffs.band_cyclic(300, 3),
+    "band_cyclic_k1": lambda: coeffs.band_cyclic(300, 1),
+    "diagonal": lambda: coeffs.diagonal(50),
+    "log_decay_diagonal": lambda: coeffs.log_decay_diagonal(40),
+    "half_offset": _half_offset_pattern,
+    "weighted_holes": _weighted_cyclic_band_with_holes,
+}
+
+
+def _sizes_seen():
+    """A custom Gaussian law that records the size it is asked for."""
+    sizes = []
+
+    def sampler(rng, size):
+        sizes.append(size)
+        return rng.standard_normal(size)
+
+    return EntryDistribution("custom", sampler=sampler), sizes
+
+
+def _banded_reference(X, offsets):
+    """The banded layout of the CSR sample X, slot by slot."""
+    n, lo = X.shape[0], int(offsets[0])
+    A = X.toarray()
+    data = np.zeros((offsets.shape[0], n + int(offsets[-1]) - lo))
+    i = np.arange(n)
+    for k, s in enumerate(offsets.tolist()):
+        data[k, i + s - lo] = A[i, (i + s) % n]
+    return data
+
+
+@pytest.mark.parametrize("build", BANDED_BUILDS.values(), ids=BANDED_BUILDS.keys())
+def test_banded_sample_equals_the_csr_sample(build):
+    C = build()
+    assert C.is_sparse and sampling.has_banded_layout(C)
+    custom, sizes = _sizes_seen()
+    for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
+        for dist in (GAUSSIAN, RADEMACHER, HEAVY2, custom):
+            X = sample_matrix(C, dist, seed)
+            B = sampling.sample_banded(C, dist, seed)
+            # bitwise, slot by slot, and as a CSR
+            want = _banded_reference(X, B.offsets)
+            assert np.array_equal(B.data.view(np.int64), want.view(np.int64))
+            Y = B.tocsr()
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(Y, name), getattr(X, name)), name
+    # the custom law sees the same size on both paths
+    assert len(sizes) == 4 and sizes[0] == sizes[1] and sizes[2] == sizes[3]
+
+
+def test_half_offset_layout():
+    C = _half_offset_pattern()
+    size, gather, b, holes, offsets = sampling._banded_plan(C)
+    assert offsets.tolist() == [5] and gather.shape == (1, 10)
+    # rows 0, 2, 3, 4 hold the upper entries; rows 5 .. 9 mirror rows 0 .. 4
+    assert size == 4 and gather[0].tolist() == [0, 0, 1, 2, 3, 0, 0, 1, 2, 3]
+    assert holes.tolist() == [1, 6] and b.tolist() == [1.0, 1.5, 1.75, 2.0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coeffs.block_diagonal(200, 4),
+        lambda: experiments.regular_random_pattern(200, 5, 3),
+        lambda: coeffs.single_entry(30),
+        lambda: coeffs.band(64, 3),
+        _rect_sparse_pattern,
+    ],
+    ids=["block_diagonal", "regular_random", "single_entry", "band_dense", "rect_sparse"],
+)
+def test_other_patterns_keep_csr(build):
+    C = build()
+    assert not sampling.has_banded_layout(C)
+    with pytest.raises(ParameterError):
+        sampling.sample_banded(C, GAUSSIAN, SeedSpec(1, 0))
+
+
+def test_banded_plan_compiled_once(monkeypatch):
+    C = coeffs.band_cyclic(300, 3)
+    first = sampling.sample_banded(C, GAUSSIAN, SeedSpec(8, 0))
+    plan = C._banded_sampling_plan
+
+    def compile_again(*args, **kwargs):
+        raise AssertionError("the banded plan was compiled again")
+
+    monkeypatch.setattr(sampling, "_banded_plan", compile_again)
+    again = sampling.sample_banded(C, GAUSSIAN, SeedSpec(8, 0))
+    assert C._banded_sampling_plan is plan and sampling.has_banded_layout(C)
+    assert np.array_equal(again.data, first.data)
+
+
+def test_dense_rectangular_pattern_without_zeros_has_no_gather():
+    C = OTHER_BUILDS["rect_dense_no_zero"](None)
+    size, gather, structure = sampling._plan(C)
+    assert size == 21 and gather is None and structure is None
+    assert sampling._plan(OTHER_BUILDS["rect_dense"](None))[1] is not None
+
+
 def traced_peak(fn):
     """(fn(), the peak bytes allocated while fn ran); numpy reports its buffers to tracemalloc."""
     tracemalloc.start()
@@ -364,6 +486,14 @@ def test_build_and_plan_compile_peak_memory():
     assert not hasattr(C, "_sampling_plan")
     (_, gather, _), plan_peak = traced_peak(lambda: sampling._plan(C))
     assert plan_peak <= 2.5 * gather.nbytes
+    # the banded plan takes no more bytes than the CSR gather, and its
+    # compile holds no nnz-sized array besides its own gather
+    banded, banded_peak = traced_peak(lambda: sampling._banded_plan(C))
+    _, banded_gather, b, holes, offsets = banded
+    assert banded_gather.dtype == np.int32
+    banded_bytes = banded_gather.nbytes + holes.nbytes + offsets.nbytes + (0 if b is None else b.nbytes)
+    assert banded_bytes <= gather.nbytes
+    assert banded_peak <= 2.5 * banded_bytes
 
 
 def test_wigner_build_peak_memory():
@@ -379,6 +509,11 @@ def test_sample_peak_memory():
     size, _, _ = sampling._plan(C)
     X, peak = traced_peak(lambda: sample_matrix(C, GAUSSIAN, SeedSpec(4, 0)))
     assert peak <= 8 * size + X.data.nbytes + 2**14
+    # a banded sample also holds its column map; numpy reads the int32
+    # gather through a cast buffer of 8192 intp (64 KiB), never a full copy
+    assert sampling.has_banded_layout(C)
+    B, peak = traced_peak(lambda: sampling.sample_banded(C, GAUSSIAN, SeedSpec(4, 0)))
+    assert peak <= 8 * size + B.data.nbytes + B.wrap.nbytes + 2**16 + 2**14
 
 
 def test_band_sample_preserves_zero_pattern():

@@ -235,10 +235,33 @@ def test_arpack_precision_follows_tol(monkeypatch, dense, tol, dtype):
     assert type(r.value) is float and type(r.rel_error_bound) is float
 
 
+@pytest.mark.parametrize("tol, dtype", [(1e-4, np.float32), (1e-5, np.float32), (1e-6, np.float64)])
+def test_banded_arpack_precision_follows_tol(monkeypatch, tol, dtype):
+    real_eigsh = scipy.sparse.linalg.eigsh
+    seen = []
+
+    def watched(A, *args, **kwargs):
+        seen.append((A.dtype, kwargs["v0"].dtype))
+        return real_eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", watched)
+    r = spectral_norm(_banded_sample(), tol=tol)
+    assert seen == [(dtype, dtype)] and r.method == "lanczos"
+    assert type(r.value) is float and type(r.rel_error_bound) is float
+
+
+def _times(X, factor):
+    """X scaled by ``factor``, in X's own storage."""
+    if isinstance(X, specnorm.BandedMatrix):
+        return specnorm.BandedMatrix(X.data * factor, X.offsets)
+    return X * factor
+
+
 def _scaled_cases():
     rng = np.random.default_rng(22)
     return {
         "band_cyclic": lambda: _band_sample(),
+        "banded": lambda: _banded_sample(),
         "rectangular": lambda: sp.random_array((300, 180), density=0.05, rng=rng, format="csr"),
     }
 
@@ -250,7 +273,7 @@ def test_float32_iteration_holds_any_magnitude(case, factor):
     # must see the same operator as for the unscaled input
     X = _scaled_cases()[case]()
     base = spectral_norm(X, tol=1e-4)
-    r = spectral_norm(X * factor, tol=1e-4)
+    r = spectral_norm(_times(X, factor), tol=1e-4)
     assert r.iterations == base.iterations
     assert r.value == pytest.approx(base.value * factor, rel=1e-12)
     assert r.rel_error_bound <= 1e-4
@@ -263,22 +286,28 @@ def test_nonconvergence_best_is_on_the_input_scale(monkeypatch):
         w, v = real_eigsh(*args, **kwargs)
         raise ArpackNoConvergence("no convergence", w, v)
 
-    X = _band_sample()
-    base = spectral_norm(X, tol=1e-4).value
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalls)
-    with pytest.raises(NonConvergenceError) as info:
-        spectral_norm(X * 1e40, tol=1e-4)
-    assert info.value.best.value == pytest.approx(base * 1e40, rel=1e-4)
+    for X in (_band_sample(), _banded_sample()):
+        base = spectral_norm(X, tol=1e-4).value
+        with monkeypatch.context() as m:
+            m.setattr(scipy.sparse.linalg, "eigsh", stalls)
+            with pytest.raises(NonConvergenceError) as info:
+                spectral_norm(_times(X, 1e40), tol=1e-4)
+        assert info.value.best.value == pytest.approx(base * 1e40, rel=1e-4)
 
 
 def _weyl_cases():
     def sym_sample(C, seed):
         return sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(seed, 0))
 
+    def banded_sample(C, seed):
+        return sampling.sample_banded(C, sampling.GAUSSIAN, sampling.SeedSpec(seed, 0))
+
     rng = np.random.default_rng(21)
     rect = sp.random_array((300, 180), density=0.05, rng=rng, format="csr")
     return {
         "band_cyclic": lambda: sym_sample(coeffs.band_cyclic(2000, 5), 1),
+        "banded_cyclic": lambda: banded_sample(coeffs.band_cyclic(2000, 5), 1),
+        "banded_band": lambda: banded_sample(coeffs.band(1500, 4), 5),
         "block_diagonal": lambda: sym_sample(coeffs.block_diagonal(1200, 30), 2),
         "regular_random": lambda: sym_sample(experiments.regular_random_pattern(1000, 9, 3), 3),
         "dense": lambda: _rand_sym(400, 4),
@@ -295,7 +324,7 @@ def test_rel_error_bound_is_a_guarantee(case, tol):
     X = _weyl_cases()[case]()
     r = spectral_norm(X, tol=tol, method="lanczos")
     assert r.method == "lanczos" and r.iterations > 0
-    A = X.toarray() if sp.issparse(X) else X
+    A = X.toarray() if hasattr(X, "toarray") else X
     if case == "rectangular":
         ref = np.linalg.svd(A, compute_uv=False)[0]
     else:
@@ -335,6 +364,44 @@ def _counts(handles):
 
 def _band_sample(n=400):
     return sampling.sample_matrix(coeffs.band_cyclic(n, 2), sampling.GAUSSIAN, sampling.SeedSpec(1, 0))
+
+
+def _banded_sample(n=400):
+    """_band_sample in its banded layout."""
+    return sampling.sample_banded(coeffs.band_cyclic(n, 2), sampling.GAUSSIAN, sampling.SeedSpec(1, 0))
+
+
+def test_banded_matrix_is_its_csr_sample():
+    X, B = _band_sample(), _banded_sample()
+    Y = B.tocsr()
+    assert Y.has_canonical_format and B.shape == X.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(Y, name), getattr(X, name)), name
+    z = np.random.default_rng(3).standard_normal(400)
+    assert np.allclose(B @ z, X @ z, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+def test_banded_norm_agrees_with_the_csr_norm(tol):
+    # the same matrix in two storages: same matvec count, and two Weyl
+    # intervals of the one exact norm
+    a = spectral_norm(_band_sample(), tol=tol, symmetric=True)
+    b = spectral_norm(_banded_sample(), tol=tol)
+    assert b.method == "lanczos" and b.iterations == a.iterations
+    assert abs(a.value - b.value) <= (a.rel_error_bound + b.rel_error_bound) * a.value
+
+
+def test_banded_diagonal_norm_is_exact_without_the_diagonal_scan(monkeypatch):
+    # a banded matrix is diagonal exactly when its only offset is 0
+    def scanned(M):
+        raise AssertionError("a banded matrix was scanned for diagonality")
+
+    monkeypatch.setattr(specnorm, "_is_diagonal", scanned)
+    C = coeffs.log_decay_diagonal(300)
+    B = sampling.sample_banded(C, sampling.GAUSSIAN, sampling.SeedSpec(2, 0))
+    X = sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(2, 0))
+    assert spectral_norm(B) == specnorm.NormResult(float(np.abs(X.data).max()), "dense_eig", 0, 0.0)
+    assert spectral_norm(_banded_sample()).method == "lanczos"
 
 
 def test_arpack_solve_runs_on_one_blas_thread(blas_two_threads, monkeypatch):
