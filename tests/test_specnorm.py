@@ -379,6 +379,8 @@ def test_banded_matrix_is_its_csr_sample():
         assert np.array_equal(getattr(Y, name), getattr(X, name)), name
     z = np.random.default_rng(3).standard_normal(400)
     assert np.allclose(B @ z, X @ z, rtol=0, atol=1e-12)
+    # LAPACK sees the same dense matrix either way
+    assert spectral_norm(B, method="dense_eig") == spectral_norm(X, method="dense_eig")
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
