@@ -101,9 +101,10 @@ class CoefficientMatrix:
         return int(np.count_nonzero(self._data))
 
     def toarray(self):
+        """b_ij as a fresh writable dense array, whatever the storage."""
         if self.is_sparse:
             return self._data.toarray()
-        return np.asarray(self._data)
+        return self._data.copy()
 
     def absolute(self):
         """|b_ij| as a plain matrix of the same storage kind."""
@@ -489,15 +490,13 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
     return _pack(np.array(ri, dtype=int), np.array(ci, dtype=int), np.array(vals, dtype=float), n, m, kind)
 
 
-def write_matrix_csv(M, path, symmetric=None):
+def write_matrix_csv(M, path, symmetric):
     """Write a realized matrix in the package's CSV formats.
 
-    Sparse matrices go out as triples (upper triangle only when symmetric);
-    dense ones as a plain numeric grid.
+    Sparse matrices go out as triples (upper triangle only when
+    ``symmetric``); dense ones as a plain numeric grid.
     """
     if sp.issparse(M):
-        if symmetric is None:
-            symmetric = M.shape[0] == M.shape[1] and (abs(M - M.T)).nnz == 0
         coo = (sp.triu(M, k=0) if symmetric else M).tocoo()
         order = np.lexsort((coo.col, coo.row))
         with open(path, "w", newline="") as fh:

@@ -25,14 +25,7 @@ import scipy.sparse as sp
 from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
 from .errors import NonConvergenceError, ParameterError
-from .sampling import (
-    NormEstimate,
-    STREAM_PATTERN,
-    SeedSpec,
-    has_banded_layout,
-    sample_banded,
-    sample_matrix,
-)
+from .sampling import NormEstimate, STREAM_PATTERN, SeedSpec, sample_matrix, trial_sample
 from .specnorm import EIG_DENSE_THRESHOLD, _single_blas_thread, eigenvalues_all, max_row_norm, spectral_norm
 
 K_RULE_NAMES = ("const", "c_log", "log_sq", "sqrt")
@@ -59,17 +52,12 @@ def _run_trials(fn, trials, threads):
 
 def _trial_norms(C, dist, seed, trials, tol, threads, first=0, row_norms=False):
     """||X|| of the samples of trials first .. first + trials - 1, in order;
-    with ``row_norms``, (||X||, max_row_norm(X)) pairs instead.
-
-    A pattern with a banded layout solves on its banded samples, except for
-    row norms: ``max_row_norm`` sums a row in CSR order, so those trials
-    keep the CSR sample and its last digits."""
+    with ``row_norms``, (||X||, max_row_norm(X)) pairs instead."""
     # samples of a symmetric pattern mirror every draw exactly: skip the check
     symmetric = True if C.kind == "symmetric" else None
-    banded = not row_norms and has_banded_layout(C)
 
     def one(t):
-        X = (sample_banded if banded else sample_matrix)(C, dist, SeedSpec(seed, first + t))
+        X = trial_sample(C, dist, SeedSpec(seed, first + t))
         value = spectral_norm(X, tol=tol, symmetric=symmetric).value
         return (value, max_row_norm(X)) if row_norms else value
 

@@ -11,23 +11,20 @@ storage: a trial draws one variate per nonzero coefficient, in row-major
 order (for a symmetric pattern over i <= j, mirrored below the diagonal).
 So the dense and sparse copies of a pattern draw identical samples.
 
-A pattern compiles once into a plan that holds no values: the variate
-count and, unless it is sparse rectangular or dense rectangular without a
-zero coefficient, the gather from variates to slots.  A sample is the
-variates read through the gather and multiplied in place by the pattern's
-stored values, which ``CoefficientMatrix`` keeps exactly mirrored; a sparse
-sample shares the pattern's read-only index arrays.  So a trial holds the
-pattern, the plan and one sample's values.
+Each layout of a pattern compiles once into one plan record (see
+``_plan``), and every sample is one draw through it.  The plan holds the
+contract-order coefficients b unless all are 1.  ``sample_matrix`` samples
+in the pattern's own storage; a sparse sample shares its read-only index
+arrays, so a trial holds the pattern, the plan and one sample's values.
 
 A sparse symmetric pattern whose nonzeros lie on few cyclic diagonals also
-has a banded layout, compiled once on first use: its d distinct offsets
-s = (j - i) mod n, taken in (-n/2, n/2] and running from lo to hi, qualify
-when ``d * (n + hi - lo) <= 1.25 * nnz`` (``_BANDED_FILL``).  band,
+has a banded layout: its d distinct offsets s = (j - i) mod n, taken in
+(-n/2, n/2] and running from lo to hi, qualify when
+``d * (n + hi - lo) <= 1.25 * nnz`` (``_BANDED_FILL``).  band,
 band_cyclic, diagonal and log_decay_diagonal qualify; block_diagonal with
-blocks of 2 or more, regular_random and single_entry do not.
-``sample_banded`` draws the same variates into a
-``specnorm.BandedMatrix``: every entry equals ``sample_matrix``'s bit for
-bit, only the layout differs.  The Monte Carlo trials solve on it.
+blocks of 2 or more, regular_random and single_entry do not.  Every norm
+trial, ``report``'s included, samples through ``trial_sample``, which
+solves such a pattern on a ``specnorm.BandedMatrix`` of the same entries.
 """
 
 from __future__ import annotations
@@ -245,16 +242,23 @@ def contract_values(C):
     return A.data if C.kind == "rectangular" else A.data[A.indices >= _rows(A)]
 
 
-def _plan(C):
-    """(size, gather, structure) for sampling C; compiled once per pattern.
+def _weights(C):
+    """C's contract-order coefficients, or None when all are 1 (x * 1.0 is x bit for bit)."""
+    b = contract_values(C)
+    return None if b.min(initial=1.0) == b.max(initial=1.0) == 1.0 else b
 
-    One trial draws xi at ``size``, one variate per nonzero coefficient in
-    the contract order, reads it through gather where there is one, and
-    multiplies the result in place by the pattern's own stored values.
-    That product is b_ij xi for every slot because a symmetric pattern is
-    stored exactly mirrored (see ``coeffs.CoefficientMatrix``).  structure
-    is the pattern's own read-only (indptr, indices), shared by every
-    sparse sample, and None for a dense one.
+
+_NO_HOLES = np.empty(0, dtype=np.intp)
+
+
+def _plan(C):
+    """The plan (size, b, gather, holes, wrap) of C's own storage, cached on C.
+
+    A sample draws xi at ``size``, one variate per nonzero coefficient in
+    the contract order, multiplies it in place by ``b`` (None when all
+    coefficients are 1), reads it through ``gather`` where there is one,
+    sets the flat slots ``holes`` of zero coefficients to +0.0, and
+    ``wrap``s the values.  Mirrored slots read the same b_ij xi.
 
     - sparse symmetric: see ``_symmetric_sparse_plan``;
     - sparse rectangular: no gather; the canonical CSR lists its nonzeros
@@ -262,9 +266,7 @@ def _plan(C):
     - dense rectangular without a zero coefficient: no gather; the variates
       fill the sample row-major;
     - dense: gather holds each nonzero's rank in the contract order,
-      mirrored if symmetric, and 0 where b_ij = 0.
-
-    The plan is cached on the immutable pattern.
+      mirrored if symmetric, and 0 at the holes.
     """
     return _cached(C, "_sampling_plan", _compile_plan)
 
@@ -282,19 +284,29 @@ def _cached(C, name, compile):
 
 def _compile_plan(C):
     A = C.data
+    b = _weights(C)
+    shape = A.shape
     if C.is_sparse:
+
+        def csr(vals):
+            return sp.csr_array((vals, A.indices, A.indptr), shape=shape)
+
         if C.kind == "symmetric":
-            return (*_symmetric_sparse_plan(A), (A.indptr, A.indices))
-        return (A.nnz, None, (A.indptr, A.indices))
+            size, gather = _symmetric_sparse_plan(A)
+            return size, b, gather, _NO_HOLES, csr
+        return A.nnz, b, None, _NO_HOLES, csr
     mask = _dense_mask(C)
     if C.kind == "rectangular" and mask.all():
-        return (A.size, None, None)
-    ranks = np.arange(np.count_nonzero(mask))
-    gather = np.zeros(A.shape, dtype=np.intp)
+        return A.size, b, None, _NO_HOLES, lambda vals: vals.reshape(shape)
+    size = int(np.count_nonzero(mask))
+    if size == 0:  # nothing to draw or gather
+        return 0, None, None, _NO_HOLES, lambda vals: np.zeros(shape)
+    ranks = np.arange(size)
+    gather = np.zeros(shape, dtype=np.intp)
     gather[mask] = ranks
     if C.kind == "symmetric":
         gather.T[mask] = ranks
-    return (ranks.shape[0], gather, None)
+    return size, b, gather, np.flatnonzero(A == 0), lambda vals: vals
 
 
 def _row_blocks(A):
@@ -312,15 +324,15 @@ def _row_blocks(A):
 
 
 def _banded_plan(C):
-    """(size, gather, b, holes, offsets) of C's banded layout, or None.
+    """The plan (size, b, gather, holes, wrap) of C's banded layout, or None.
 
-    ``offsets`` are the d distinct cyclic offsets of C's nonzeros in
-    (-n/2, n/2], ascending from lo to hi.  ``gather`` (d x (n + hi - lo),
-    int32 where the ranks fit) maps the slot of entry (i, (i + s) mod n),
-    row k of offset s and column i + s - lo, to its variate's rank in the
-    contract order; ``holes`` lists the flat slots that hold no entry (they
-    read variate 0 and are set to 0).  ``b`` is the contract-order
-    coefficients, None when all are 1.
+    A banded layout is kept for the d distinct cyclic offsets of C's
+    nonzeros in (-n/2, n/2], ascending from lo to hi.  ``gather``
+    (d x (n + hi - lo), int32 where the ranks fit) maps the slot of entry
+    (i, (i + s) mod n), row k of offset s and column i + s - lo, to its
+    variate's rank in the contract order; ``holes`` lists the flat slots
+    that hold no entry (they read variate 0).  ``wrap`` makes the
+    ``specnorm.BandedMatrix`` on the offsets.
 
     Upper entries (j >= i) take their ranks in one pass over the CSR in
     blocks.  Diagonal -s holds at row i the mirror of diagonal s at row
@@ -370,33 +382,21 @@ def _banded_plan(C):
         np.maximum(plus, from_minus, out=plus)
     holes = np.flatnonzero(flat < 0)
     flat[holes] = 0
-    return size, gather, b, holes, offsets
+    return size, b, gather, holes, lambda vals: BandedMatrix(vals, offsets)
 
 
-def has_banded_layout(C):
-    """Whether C has a banded layout for ``sample_banded`` (compiled on first use)."""
-    return _cached(C, "_banded_sampling_plan", _banded_plan) is not None
-
-
-def sample_banded(C, dist, seed, stream=STREAM_SAMPLE):
-    """``sample_matrix(C, dist, seed, stream)`` as a ``specnorm.BandedMatrix``.
-
-    The same variates, multiplied in place by the contract-order
-    coefficients and gathered once into C's banded layout, so every entry
-    equals ``sample_matrix``'s bit for bit.  C must have a banded layout
-    (``has_banded_layout``).
-    """
-    plan = _cached(C, "_banded_sampling_plan", _banded_plan)
-    if plan is None:
-        raise ParameterError(f"{C!r} has no banded layout")
-    size, gather, b, holes, offsets = plan
+def _draw(plan, dist, seed, stream):
+    """One sample through ``plan``: draw, multiply by b, gather, zero the holes, wrap."""
+    size, b, gather, holes, wrap = plan
     vals = draw_entries(dist, seed.generator(stream), size)
     if b is not None:
         vals *= b
-    # fancy indexing reads the int32 gather as it is; np.take would copy it to intp
-    out = vals[gather]
-    out.reshape(-1)[holes] = 0.0
-    return BandedMatrix(out, offsets)
+    if gather is not None:
+        # fancy indexing reads an int32 gather as it is; np.take would copy it to intp
+        vals = vals[gather]
+    # +0.0, never -0.0, where b_ij = 0 (fixed CSV bytes)
+    vals.reshape(-1)[holes] = 0.0
+    return wrap(vals)
 
 
 def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
@@ -406,23 +406,20 @@ def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
     zero pattern of C is preserved exactly.  A sparse sample owns its values
     and shares C's read-only index arrays.
     """
-    size, gather, structure = _plan(C)
-    A = C.data
-    if structure is None and size == 0:
-        return np.zeros(A.shape)  # an all-zero dense pattern: there is nothing to draw or gather
-    vals = draw_entries(dist, seed.generator(stream), size)
-    if gather is not None:
-        vals = np.take(vals, gather)
-    if structure is None:
-        vals = vals.reshape(A.shape)  # a view; the shape a gather already gave
-        vals *= A
-        # dense samples hold +0.0, never -0.0, where b_ij = 0 (fixed CSV
-        # bytes); adding 0.0 changes no other value
-        vals += 0.0
-        return vals
-    vals *= A.data
-    indptr, indices = structure
-    return sp.csr_array((vals, indices, indptr), shape=(C.rows, C.cols))
+    return _draw(_plan(C), dist, seed, stream)
+
+
+def trial_sample(C, dist, seed):
+    """The sample a Monte Carlo trial solves: ``sample_matrix(C, dist, seed)``,
+    as a ``specnorm.BandedMatrix`` when C has a banded layout.
+
+    Every entry equals ``sample_matrix``'s bit for bit; only the layout
+    differs.  The layout is compiled on the first trial of the pattern.
+    """
+    plan = _cached(C, "_banded_sampling_plan", _banded_plan)
+    if plan is None:
+        return sample_matrix(C, dist, seed)
+    return _draw(plan, dist, seed, STREAM_SAMPLE)
 
 
 def symmetrized_difference(C, dist, seed):

@@ -176,7 +176,7 @@ class BandedMatrix:
     (diagonal s at offset s - lo), and X @ x = ext @ x[wrap] with
     wrap[c] = (c + lo) mod n.  So the wrapped entries of a cyclic band take
     W - n columns, not a diagonal of length n each.  The matrix is symmetric
-    by construction (``sampling.sample_banded`` makes it); nothing checks it.
+    by construction (``sampling.trial_sample`` makes it); nothing checks it.
     """
 
     def __init__(self, data, offsets):
@@ -368,7 +368,15 @@ def _arpack_norm(M, symmetric, tol, peak):
 
 
 def row_col_sumsq(M):
-    """(row sums, column sums) of the squared entries of a matrix."""
+    """(row sums, column sums) of the squared entries of a matrix.
+
+    Row i of a ``BandedMatrix``'s ``ext`` is row i of the matrix, whose
+    columns equal its rows.  Its rows are summed in the two orders in which
+    a CSR copy sums its rows and its columns (offset order), so a band that
+    does not wrap around gives the CSR copy's sums bit for bit."""
+    if isinstance(M, BandedMatrix):
+        sq = M.ext.power(2)
+        return np.asarray(sq.tocsr().sum(axis=1)).ravel(), sq.sum(axis=1)
     if sp.issparse(M):
         sq = M.multiply(M)
         return np.asarray(sq.sum(axis=1)).ravel(), np.asarray(sq.sum(axis=0)).ravel()

@@ -421,7 +421,7 @@ def test_symmetry_check_of_a_matrix_file(tmp_path):
     path = tmp_path / "near.csv"
     for skew, accepted in ((1e-13, True), (1e-9, False)):
         a = np.array([[1.0, 0.5, 0.0], [0.5 + skew, 2.0, 0.0], [0.0, 0.0, 3.0]])
-        coeffs.write_matrix_csv(a, path)
+        coeffs.write_matrix_csv(a, path, symmetric=False)
         M = sp.csr_array(np.loadtxt(path, delimiter=","))
         _assert_check_matches_reference(M, coeffs.FILE_SYMMETRY_TOL)
         assert (_reference_gap(M) <= coeffs.FILE_SYMMETRY_TOL) == accepted
@@ -485,7 +485,7 @@ OWNERSHIP_INPUTS = {
 
 
 def _pattern_state(C):
-    size, gather, _ = sampling._plan(C)
+    size, _, gather, _, _ = sampling._plan(C)
     X = sample_matrix(C, GAUSSIAN, SeedSpec(1, 0))
     return {
         "pattern": {name: buf.copy() for name, buf in _buffers(C.data).items()},
@@ -589,10 +589,22 @@ def test_from_adjacency_reads_its_file_on_every_call(tmp_path):
     assert first.toarray()[0, 1] == 1.0 and second.toarray()[0, 1] == 2.0
 
 
+@pytest.mark.parametrize("n, sparse", [(120, False), (300, True)])
+def test_toarray_is_a_fresh_writable_array(n, sparse):
+    # band_cyclic(120, 4) is stored dense (7.5% fill), band_cyclic(300, 4)
+    # sparse: an in-place write to either result leaves the pattern alone
+    C = coeffs.band_cyclic(n, 4)
+    assert C.is_sparse is sparse
+    before = C.toarray()
+    a = C.toarray()
+    a *= np.add.outer(np.arange(n), np.arange(n)) % 7 - 2.5
+    assert np.array_equal(C.toarray(), before) and not np.array_equal(a, before)
+
+
 def test_dense_csv_roundtrip(tmp_path):
     a = np.array([[1.0, 0.5], [0.5, 2.0]])
     path = tmp_path / "m.csv"
-    coeffs.write_matrix_csv(a, path)
+    coeffs.write_matrix_csv(a, path, symmetric=False)
     C = coeffs.load_dense_csv(path, kind="symmetric")
     assert np.array_equal(C.toarray(), a)
 
@@ -600,10 +612,10 @@ def test_dense_csv_roundtrip(tmp_path):
 def test_file_symmetry_tolerance(tmp_path):
     path = tmp_path / "near.csv"
     a = np.array([[1.0, 0.5], [0.5 + 1e-13, 2.0]])
-    coeffs.write_matrix_csv(a, path)
+    coeffs.write_matrix_csv(a, path, symmetric=False)
     coeffs.load_dense_csv(path, kind="symmetric")  # inside 1e-12: accepted
     b = np.array([[1.0, 0.5], [0.5 + 1e-9, 2.0]])
-    coeffs.write_matrix_csv(b, path)
+    coeffs.write_matrix_csv(b, path, symmetric=False)
     with pytest.raises(DataError):
         coeffs.load_dense_csv(path, kind="symmetric")  # not silently repaired
 

@@ -146,26 +146,28 @@ def test_symmetric_trials_skip_the_symmetry_check(monkeypatch):
 
 
 def test_trials_go_through_the_module_names(monkeypatch):
-    # the trial helper looks sample_matrix, sample_banded, spectral_norm and
-    # max_row_norm up in experiments at call time, so wrappers installed
-    # there see every trial
-    calls = {"sample_matrix": 0, "sample_banded": 0, "spectral_norm": 0, "max_row_norm": 0}
-    for name in calls:
-        original = getattr(experiments, name)
+    # the trial helper looks trial_sample, spectral_norm and max_row_norm up
+    # in experiments at call time, and trial_sample looks sample_matrix up in
+    # sampling, so wrappers installed there see every trial
+    names = {"trial_sample": experiments, "spectral_norm": experiments, "max_row_norm": experiments}
+    names["sample_matrix"] = sampling
+    calls = dict.fromkeys(names, 0)
+    for name, module in names.items():
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, name, counted)
+        monkeypatch.setattr(module, name, counted)
     experiments.phase_scan("band", [64, 128], "const:3", GAUSSIAN, trials=3, seed=1)
     experiments.estimate_expected_norm(coeffs.band(64, 2), GAUSSIAN, 4, seed=3)
     experiments.bounds_vs_empirical_report(coeffs.wigner(8), GAUSSIAN, 0.5, 5, seed=4)
-    # band_cyclic(64, 1) and (128, 1) are banded, band(64, 2) is dense; the
-    # report's row norms keep the CSR sample of a sparse band
+    # band_cyclic(64, 1) and (128, 1) and sparse band(300, 2) are banded,
+    # report included; band(64, 2) and wigner(8) are dense
     experiments.estimate_expected_norm(coeffs.band(300, 2), GAUSSIAN, 2, seed=5)
     experiments.bounds_vs_empirical_report(coeffs.band(300, 2), GAUSSIAN, 0.5, 2, seed=6)
-    assert calls == {"sample_matrix": 11, "sample_banded": 8, "spectral_norm": 19, "max_row_norm": 7}
+    assert calls == {"trial_sample": 19, "spectral_norm": 19, "max_row_norm": 7, "sample_matrix": 9}
 
 
 def test_phase_scan_divides_each_trial_by_root_k():
@@ -173,9 +175,8 @@ def test_phase_scan_divides_each_trial_by_root_k():
     for cell, n in enumerate((64, 128)):
         C = coeffs.band_cyclic(n, 2)
         # n = 64 is stored dense; n = 128 solves on its banded samples
-        sample = sampling.sample_banded if sampling.has_banded_layout(C) else sample_matrix
         ratios = [
-            specnorm.spectral_norm(sample(C, GAUSSIAN, SeedSpec(2, cell * 4 + t)), tol=1e-4).value
+            specnorm.spectral_norm(sampling.trial_sample(C, GAUSSIAN, SeedSpec(2, cell * 4 + t)), tol=1e-4).value
             / math.sqrt(5)
             for t in range(4)
         ]

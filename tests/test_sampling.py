@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specbound import bounds, coeffs, experiments, sampling
+from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import ParameterError
 from specbound.sampling import (
     GAUSSIAN,
@@ -332,15 +332,18 @@ PLAN_BUILDS = {
 def test_symmetric_sparse_plan_matches_reference(build, tmp_path):
     C = build(tmp_path)
     assert C.is_sparse and C.kind == "symmetric"
-    size, gather, structure = sampling._plan(C)
-    b, want_gather, want_structure = _reference_symmetric_sparse_plan(C.data)
-    assert size == b.shape[0]
-    for g, w in zip((gather, *structure), (want_gather, *want_structure)):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
-    # a sample is the reference's (b * xi)[gather], bit for bit
+    size, b, gather, holes, _ = sampling._plan(C)
+    want_b, want_gather, want_structure = _reference_symmetric_sparse_plan(C.data)
+    assert size == want_b.shape[0] and holes.shape == (0,)
+    # the plan keeps the coefficients unless all are 1
+    assert np.all(want_b == 1.0) if b is None else np.array_equal(b, want_b)
+    assert gather.dtype == want_gather.dtype and np.array_equal(gather, want_gather)
+    # a sample is the reference's (b * xi)[gather] over the reference structure, bit for bit
     for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
         X = sample_matrix(C, GAUSSIAN, seed)
-        want = (b * sampling.draw_entries(GAUSSIAN, seed.generator(), size))[want_gather]
+        for got, want in zip((X.indptr, X.indices), want_structure):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = (want_b * sampling.draw_entries(GAUSSIAN, seed.generator(), size))[want_gather]
         assert np.array_equal(X.data.view(np.int64), want.view(np.int64))
 
 
@@ -401,12 +404,13 @@ def _banded_reference(X, offsets):
 @pytest.mark.parametrize("build", BANDED_BUILDS.values(), ids=BANDED_BUILDS.keys())
 def test_banded_sample_equals_the_csr_sample(build):
     C = build()
-    assert C.is_sparse and sampling.has_banded_layout(C)
+    assert C.is_sparse
     custom, sizes = _sizes_seen()
     for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
         for dist in (GAUSSIAN, RADEMACHER, HEAVY2, custom):
             X = sample_matrix(C, dist, seed)
-            B = sampling.sample_banded(C, dist, seed)
+            B = sampling.trial_sample(C, dist, seed)
+            assert isinstance(B, specnorm.BandedMatrix)
             # bitwise, slot by slot, and as a CSR
             want = _banded_reference(X, B.offsets)
             assert np.array_equal(B.data.view(np.int64), want.view(np.int64))
@@ -417,9 +421,28 @@ def test_banded_sample_equals_the_csr_sample(build):
     assert len(sizes) == 4 and sizes[0] == sizes[1] and sizes[2] == sizes[3]
 
 
+# a banded row sums its entries in offset order and a CSR row in column
+# order; the orders agree where no offset wraps around
+EXACT_ROW_NORMS = ("band", "diagonal", "log_decay_diagonal")
+
+
+@pytest.mark.parametrize("name", BANDED_BUILDS)
+def test_banded_max_row_norm_matches_the_csr_sample(name):
+    C = BANDED_BUILDS[name]()
+    for t in range(8):
+        seed = SeedSpec(9, t)
+        got = specnorm.max_row_norm(sampling.trial_sample(C, GAUSSIAN, seed))
+        want = specnorm.max_row_norm(sample_matrix(C, GAUSSIAN, seed))
+        if name in EXACT_ROW_NORMS:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_half_offset_layout():
     C = _half_offset_pattern()
-    size, gather, b, holes, offsets = sampling._banded_plan(C)
+    size, b, gather, holes, _ = sampling._banded_plan(C)
+    offsets = sampling.trial_sample(C, GAUSSIAN, SeedSpec(1, 0)).offsets
     assert offsets.tolist() == [5] and gather.shape == (1, 10)
     # rows 0, 2, 3, 4 hold the upper entries; rows 5 .. 9 mirror rows 0 .. 4
     assert size == 4 and gather[0].tolist() == [0, 0, 1, 2, 3, 0, 0, 1, 2, 3]
@@ -438,31 +461,41 @@ def test_half_offset_layout():
     ids=["block_diagonal", "regular_random", "single_entry", "band_dense", "rect_sparse"],
 )
 def test_other_patterns_keep_csr(build):
+    # a trial of a pattern without a banded layout is its sample_matrix
+    # sample, bit for bit
     C = build()
-    assert not sampling.has_banded_layout(C)
-    with pytest.raises(ParameterError):
-        sampling.sample_banded(C, GAUSSIAN, SeedSpec(1, 0))
+    for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
+        for dist in (GAUSSIAN, RADEMACHER, HEAVY2):
+            X = sampling.trial_sample(C, dist, seed)
+            Y = sample_matrix(C, dist, seed)
+            assert type(X) is type(Y) and X.shape == Y.shape
+            got, want = _arrays(X), _arrays(Y)
+            for name in want:
+                assert got[name].dtype == want[name].dtype, name
+                assert np.array_equal(got[name].view(np.uint8), want[name].view(np.uint8)), name
+    assert C._banded_sampling_plan is None
 
 
 def test_banded_plan_compiled_once(monkeypatch):
     C = coeffs.band_cyclic(300, 3)
-    first = sampling.sample_banded(C, GAUSSIAN, SeedSpec(8, 0))
+    first = sampling.trial_sample(C, GAUSSIAN, SeedSpec(8, 0))
     plan = C._banded_sampling_plan
 
     def compile_again(*args, **kwargs):
         raise AssertionError("the banded plan was compiled again")
 
     monkeypatch.setattr(sampling, "_banded_plan", compile_again)
-    again = sampling.sample_banded(C, GAUSSIAN, SeedSpec(8, 0))
-    assert C._banded_sampling_plan is plan and sampling.has_banded_layout(C)
+    again = sampling.trial_sample(C, GAUSSIAN, SeedSpec(8, 0))
+    assert C._banded_sampling_plan is plan
     assert np.array_equal(again.data, first.data)
 
 
 def test_dense_rectangular_pattern_without_zeros_has_no_gather():
     C = OTHER_BUILDS["rect_dense_no_zero"](None)
-    size, gather, structure = sampling._plan(C)
-    assert size == 21 and gather is None and structure is None
-    assert sampling._plan(OTHER_BUILDS["rect_dense"](None))[1] is not None
+    size, b, gather, holes, _ = sampling._plan(C)
+    assert size == 21 and gather is None and holes.shape == (0,)
+    assert np.array_equal(b, C.data.reshape(-1))
+    assert sampling._plan(OTHER_BUILDS["rect_dense"](None))[2] is not None
 
 
 def traced_peak(fn):
@@ -476,6 +509,11 @@ def traced_peak(fn):
     return result, peak
 
 
+def _plan_bytes(plan):
+    """Bytes of a plan's own arrays: b, gather and holes."""
+    return sum(a.nbytes for a in plan[1:4] if a is not None)
+
+
 def test_build_and_plan_compile_peak_memory():
     # at most one nnz-sized temporary besides what each step keeps; the
     # unwrapped builder builds afresh even while an equal pattern is alive
@@ -484,16 +522,25 @@ def test_build_and_plan_compile_peak_memory():
     assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
     assert build_peak <= 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
     assert not hasattr(C, "_sampling_plan")
-    (_, gather, _), plan_peak = traced_peak(lambda: sampling._plan(C))
+    plan, plan_peak = traced_peak(lambda: sampling._plan(C))
+    gather = plan[2]
+    # a unit pattern's plan is its gather alone
+    assert plan[1] is None and _plan_bytes(plan) == gather.nbytes
     assert plan_peak <= 2.5 * gather.nbytes
     # the banded plan takes no more bytes than the CSR gather, and its
     # compile holds no nnz-sized array besides its own gather
     banded, banded_peak = traced_peak(lambda: sampling._banded_plan(C))
-    _, banded_gather, b, holes, offsets = banded
-    assert banded_gather.dtype == np.int32
-    banded_bytes = banded_gather.nbytes + holes.nbytes + offsets.nbytes + (0 if b is None else b.nbytes)
-    assert banded_bytes <= gather.nbytes
-    assert banded_peak <= 2.5 * banded_bytes
+    assert banded[2].dtype == np.int32
+    assert _plan_bytes(banded) <= gather.nbytes
+    assert banded_peak <= 2.5 * _plan_bytes(banded)
+    # a weighted pattern's plan also holds its size coefficients
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    W = sp.csr_array((1.0 + (rows + A.indices) % 7, A.indices, A.indptr), shape=A.shape)
+    C = coeffs.CoefficientMatrix(W, "symmetric")
+    plan, plan_peak = traced_peak(lambda: sampling._plan(C))
+    size, gather = plan[0], plan[2]
+    assert plan[1] is not None and _plan_bytes(plan) <= gather.nbytes + 8 * size
+    assert plan_peak <= 2.5 * (gather.nbytes + 8 * size)
 
 
 def test_wigner_build_peak_memory():
@@ -506,13 +553,14 @@ def test_wigner_build_peak_memory():
 def test_sample_peak_memory():
     # on a compiled plan a sample holds its variates and its values, nothing more
     C = coeffs.band_cyclic.__wrapped__(2**12, 20)
-    size, _, _ = sampling._plan(C)
+    size = sampling._plan(C)[0]
     X, peak = traced_peak(lambda: sample_matrix(C, GAUSSIAN, SeedSpec(4, 0)))
     assert peak <= 8 * size + X.data.nbytes + 2**14
     # a banded sample also holds its column map; numpy reads the int32
     # gather through a cast buffer of 8192 intp (64 KiB), never a full copy
-    assert sampling.has_banded_layout(C)
-    B, peak = traced_peak(lambda: sampling.sample_banded(C, GAUSSIAN, SeedSpec(4, 0)))
+    sampling.trial_sample(C, GAUSSIAN, SeedSpec(4, 0))  # compiles the banded layout
+    B, peak = traced_peak(lambda: sampling.trial_sample(C, GAUSSIAN, SeedSpec(4, 0)))
+    assert isinstance(B, specnorm.BandedMatrix)
     assert peak <= 8 * size + B.data.nbytes + B.wrap.nbytes + 2**16 + 2**14
 
 

@@ -300,7 +300,7 @@ def _weyl_cases():
         return sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(seed, 0))
 
     def banded_sample(C, seed):
-        return sampling.sample_banded(C, sampling.GAUSSIAN, sampling.SeedSpec(seed, 0))
+        return sampling.trial_sample(C, sampling.GAUSSIAN, sampling.SeedSpec(seed, 0))
 
     rng = np.random.default_rng(21)
     rect = sp.random_array((300, 180), density=0.05, rng=rng, format="csr")
@@ -368,7 +368,7 @@ def _band_sample(n=400):
 
 def _banded_sample(n=400):
     """_band_sample in its banded layout."""
-    return sampling.sample_banded(coeffs.band_cyclic(n, 2), sampling.GAUSSIAN, sampling.SeedSpec(1, 0))
+    return sampling.trial_sample(coeffs.band_cyclic(n, 2), sampling.GAUSSIAN, sampling.SeedSpec(1, 0))
 
 
 def test_banded_matrix_is_its_csr_sample():
@@ -400,7 +400,7 @@ def test_banded_diagonal_norm_is_exact_without_the_diagonal_scan(monkeypatch):
 
     monkeypatch.setattr(specnorm, "_is_diagonal", scanned)
     C = coeffs.log_decay_diagonal(300)
-    B = sampling.sample_banded(C, sampling.GAUSSIAN, sampling.SeedSpec(2, 0))
+    B = sampling.trial_sample(C, sampling.GAUSSIAN, sampling.SeedSpec(2, 0))
     X = sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(2, 0))
     assert spectral_norm(B) == specnorm.NormResult(float(np.abs(X.data).max()), "dense_eig", 0, 0.0)
     assert spectral_norm(_banded_sample()).method == "lanczos"
