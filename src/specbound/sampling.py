@@ -242,12 +242,6 @@ def contract_values(C):
     return A.data if C.kind == "rectangular" else A.data[A.indices >= _rows(A)]
 
 
-def _weights(C):
-    """C's contract-order coefficients, or None when all are 1 (x * 1.0 is x bit for bit)."""
-    b = contract_values(C)
-    return None if b.min(initial=1.0) == b.max(initial=1.0) == 1.0 else b
-
-
 _NO_HOLES = np.empty(0, dtype=np.intp)
 
 
@@ -284,7 +278,9 @@ def _cached(C, name, compile):
 
 def _compile_plan(C):
     A = C.data
-    b = _weights(C)
+    b = contract_values(C)
+    if b.min(initial=1.0) == b.max(initial=1.0) == 1.0:
+        b = None  # x * 1.0 is x bit for bit
     shape = A.shape
     if C.is_sparse:
 

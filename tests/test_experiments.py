@@ -149,8 +149,12 @@ def test_trials_go_through_the_module_names(monkeypatch):
     # the trial helper looks trial_sample, spectral_norm and max_row_norm up
     # in experiments at call time, and trial_sample looks sample_matrix up in
     # sampling, so wrappers installed there see every trial
-    names = {"trial_sample": experiments, "spectral_norm": experiments, "max_row_norm": experiments}
-    names["sample_matrix"] = sampling
+    names = {
+        "trial_sample": experiments,
+        "spectral_norm": experiments,
+        "max_row_norm": experiments,
+        "sample_matrix": sampling,
+    }
     calls = dict.fromkeys(names, 0)
     for name, module in names.items():
         original = getattr(module, name)
