@@ -455,6 +455,8 @@ def _merge_manifest(args):
         with open(args.manifest) as fh:
             data.update(json.load(fh))
     cli = {k: v for k, v in vars(args).items() if k != "manifest" and v is not None}
+    if args.command == "validate" and "command" in data:
+        del cli["command"]  # validate checks the manifest's own command
     try:
         if "n_grid" in cli:
             cli["n_grid"] = [int(x) for x in cli["n_grid"].split(",")]
@@ -474,6 +476,9 @@ def main(argv=None):
         return 1
     try:
         manifest = _merge_manifest(args)
+        if args.command == "validate":
+            print(_json(validate(manifest), indent=2))
+            return 0
         return execute(manifest)
     except (ParameterError, DataError, SizeError, OSError, json.JSONDecodeError) as exc:
         _err(exc)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, ParameterError
-from .specnorm import row_col_sumsq
+from .specnorm import _max_abs, row_col_sumsq
 
 SPARSE_FILL_THRESHOLD = 0.05
 FILE_SYMMETRY_TOL = 1e-12
@@ -385,12 +385,9 @@ def structural_params(C):
 
 def _structural_params(C):
     row, col = row_col_sumsq(C.data)
-    sigma1 = math.sqrt(row.max()) if row.size else 0.0
-    sigma2 = math.sqrt(col.max()) if col.size else 0.0
-    if C.is_sparse:
-        sigma_star = float(np.abs(C.data.data).max()) if C.data.nnz else 0.0
-    else:
-        sigma_star = float(np.abs(C.data).max()) if C.data.size else 0.0
+    sigma1 = math.sqrt(row.max(initial=0.0))
+    sigma2 = math.sqrt(col.max(initial=0.0))
+    sigma_star = _max_abs(C.data)
     if C.kind == "symmetric":
         sigma = max(sigma1, sigma2)
         return StructuralParams(sigma, sigma_star, sigma, sigma)
@@ -470,7 +467,10 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
                 continue
             if len(line) != 3:
                 raise DataError(f"sparse file {path} must have rows 'i,j,value'")
-            i, j, v = int(line[0]), int(line[1]), float(line[2])
+            try:
+                i, j, v = int(line[0]), int(line[1]), float(line[2])
+            except ValueError as exc:
+                raise DataError(f"malformed field in {path}: {exc}") from None
             if i < 0 or j < 0:
                 raise DataError("indices must be >= 0")
             if kind == "symmetric" and i > j:
@@ -478,9 +478,11 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
             ri.append(i)
             ci.append(j)
             vals.append(v)
+    if not vals:
+        raise DataError(f"empty matrix file: {path}")
     if shape is None:
-        top = max(max(ri, default=0), max(ci, default=0)) + 1
-        shape = (top, top) if kind == "symmetric" else (max(ri, default=0) + 1, max(ci, default=0) + 1)
+        top = max(max(ri), max(ci)) + 1
+        shape = (top, top) if kind == "symmetric" else (max(ri) + 1, max(ci) + 1)
     n, m = shape
     if kind == "symmetric":
         extra = [(j, i, v) for i, j, v in zip(ri, ci, vals) if i != j]

@@ -143,16 +143,6 @@ def draw_entries(dist, rng, size):
     return np.array(dist.sampler(rng, size), dtype=float)
 
 
-def _double_factorial(k):
-    if k <= 0:
-        return 1
-    out = 1
-    while k > 0:
-        out *= k
-        k -= 2
-    return out
-
-
 def distribution_moment(dist, order):
     """Exact moment E[xi^order] for even order.
 
@@ -166,7 +156,7 @@ def distribution_moment(dist, order):
         return 1
     p = order // 2
     if dist.family == "gaussian":
-        return _double_factorial(order - 1)
+        return math.prod(range(order - 1, 0, -2))
     if dist.family == "rademacher":
         return 1
     if dist.family == "bounded_uniform":
@@ -175,7 +165,7 @@ def distribution_moment(dist, order):
         q = 2.0 * p * (dist.beta - 1.0)
         qi = round(q)
         if abs(q - qi) < 1e-12 and qi % 2 == 0:
-            raw = _double_factorial(order - 1) * _double_factorial(qi - 1)
+            raw = math.prod(range(order - 1, 0, -2)) * math.prod(range(qi - 1, 0, -2))
         else:
             raw = (
                 2.0 ** (p * dist.beta)

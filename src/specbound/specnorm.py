@@ -370,16 +370,17 @@ def _arpack_norm(M, symmetric, tol, peak):
 def row_col_sumsq(M):
     """(row sums, column sums) of the squared entries of a matrix.
 
-    Row i of a ``BandedMatrix``'s ``ext`` is row i of the matrix, whose
-    columns equal its rows.  Its rows are summed in the two orders in which
-    a CSR copy sums its rows and its columns (offset order), so a band that
-    does not wrap around gives the CSR copy's sums bit for bit."""
+    Sparse rows and columns are summed sequentially, so an exactly mirrored
+    matrix gives the same bits both ways.  A symmetric ``BandedMatrix``
+    takes one pass over its rows, in offset order: column order wherever no
+    offset wraps around.  Dense sums keep numpy's order."""
     if isinstance(M, BandedMatrix):
-        sq = M.ext.power(2)
-        return np.asarray(sq.tocsr().sum(axis=1)).ravel(), sq.sum(axis=1)
+        rows = M.ext.power(2).sum(axis=1)
+        return rows, rows
     if sp.issparse(M):
         sq = M.multiply(M)
-        return np.asarray(sq.sum(axis=1)).ravel(), np.asarray(sq.sum(axis=0)).ravel()
+        # the CSR matvec sums each row in order; 1.0 * x is exact
+        return sq @ np.ones(M.shape[1]), np.asarray(sq.sum(axis=0)).ravel()
     A = np.asarray(M, dtype=float)
     sq = A * A
     return sq.sum(axis=1), sq.sum(axis=0)
@@ -388,13 +389,13 @@ def row_col_sumsq(M):
 def max_row_norm(M):
     """max_i ||M e_i||, maximized over both rows and columns.
 
-    For symmetric matrices this is exactly the largest Euclidean row norm;
-    taking both orientations keeps the quantity a pointwise lower bound on
-    the spectral norm for rectangular input too.
+    For symmetric matrices this is exactly the largest Euclidean row norm
+    (bit for bit the column one if sparse or banded); taking both
+    orientations keeps it a lower bound on the spectral norm for
+    rectangular input too.
     """
     row, col = row_col_sumsq(M)
-    top = max(row.max() if row.size else 0.0, col.max() if col.size else 0.0)
-    return float(math.sqrt(top))
+    return math.sqrt(max(row.max(initial=0.0), col.max(initial=0.0)))
 
 
 def eigenvalues_all(M):

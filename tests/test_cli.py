@@ -130,7 +130,36 @@ def test_cli_validate_command(capsys):
     )
     assert code == 0  # validation reports, never fails the process
     payload = json.loads(out)
-    assert payload["valid"] is False
+    assert payload == {"command": "validate", "valid": False, "violations": ["epsilon must be in (0, 1/2]"]}
+
+
+def test_cli_validate_checks_the_manifest_command(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('{"command": "phase"}')
+    violations = ["phase needs n_grid", "phase needs k_rule"]
+    code, out, _ = run_cli(capsys, "validate", "--manifest", str(path))
+    assert code == 0
+    assert json.loads(out) == {"command": "phase", "valid": False, "violations": violations}
+    code, out, err = run_cli(capsys, "phase", "--manifest", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": "; ".join(violations)}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("x,0,1\n", "malformed field"), ("1.5,0,1\n", "malformed field"), ("0,0,z\n", "malformed field"),
+     ("", "empty matrix file"), ("\n\n", "empty matrix file")],
+)
+def test_malformed_sparse_csv_is_a_data_error(tmp_path, capsys, text, message):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "bounds", "--matrix-file", str(path), "--matrix-format", "sparse")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "DataError"
+    assert payload["message"].startswith(message) and str(path) in payload["message"]
+    m = RunManifest(command="moments", matrix_file=str(path), matrix_format="sparse", p=1, moments_action="verify")
+    assert validate(m)["violations"] == [f"cannot load pattern: {payload['message']}"]
 
 
 def test_cli_epsilon_error_exit_code(capsys):

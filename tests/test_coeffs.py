@@ -244,6 +244,22 @@ def test_structural_params_rectangular():
     assert p.sigma_star == 1.0
 
 
+def test_sigma_star_is_the_largest_magnitude():
+    R = sp.random_array((300, 500), density=0.03, rng=np.random.default_rng(2), format="csr")
+    R.data -= 0.5
+    patterns = [
+        coeffs.CoefficientMatrix(R, "rectangular"),
+        coeffs.CoefficientMatrix(R.toarray(), "rectangular"),
+        coeffs.CoefficientMatrix(sp.csr_array((3, 4)), "rectangular"),
+        coeffs.CoefficientMatrix(np.zeros((3, 4)), "rectangular"),
+        coeffs.log_decay_diagonal(50),
+        coeffs.band(40, 3),
+    ]
+    for C in patterns:
+        got = coeffs.structural_params(C).sigma_star
+        assert type(got) is float and got == float(np.abs(C.toarray()).max())
+
+
 def test_lp_norm_examples():
     assert coeffs.lp_entrywise_norm(coeffs.diagonal(2), 1.0) == pytest.approx(2.0)
     assert coeffs.lp_entrywise_norm(coeffs.diagonal(9), 2.0) == pytest.approx(3.0)

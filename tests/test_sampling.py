@@ -439,6 +439,18 @@ def test_banded_max_row_norm_matches_the_csr_sample(name):
             assert got == pytest.approx(want, rel=1e-15, abs=0)
 
 
+def test_banded_max_row_norm_makes_no_csr_copy(monkeypatch):
+    B = sampling.trial_sample(coeffs.band_cyclic(300, 3), GAUSSIAN, SeedSpec(9, 0))
+    want = math.sqrt((B.toarray() ** 2).sum(axis=1).max())
+
+    def refuse(self):
+        raise AssertionError("tocsr called")
+
+    monkeypatch.setattr(specnorm.BandedMatrix, "tocsr", refuse)
+    monkeypatch.setattr(sp.dia_array, "tocsr", refuse)
+    assert specnorm.max_row_norm(B) == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_half_offset_layout():
     C = _half_offset_pattern()
     size, b, gather, holes, _ = sampling._banded_plan(C)

@@ -153,6 +153,18 @@ def test_max_row_norm_examples():
     assert max_row_norm(sp.csr_array(a)) == pytest.approx(rows.max())
 
 
+def test_sparse_row_and_column_sums_agree_bit_for_bit():
+    # weighted, exactly mirrored, ~40 entries a row: a pairwise row sum
+    # would round differently from the sequential column sum
+    U = sp.random_array((400, 400), density=0.1, rng=np.random.default_rng(5), format="csr")
+    C = coeffs.CoefficientMatrix(sp.triu(U) + sp.triu(U, 1).T, "symmetric")
+    samples = [sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(9, t)) for t in range(5)]
+    for M in [C.data, *samples]:
+        row, col = specnorm.row_col_sumsq(M)
+        assert np.array_equal(row.view(np.int64), col.view(np.int64))
+        assert np.allclose(row, (M.toarray() ** 2).sum(axis=1), rtol=1e-14, atol=0)
+
+
 def test_eigenvalues_all_examples():
     assert np.allclose(eigenvalues_all(np.diag([1.0, 2.0, 3.0])), [3.0, 2.0, 1.0])
     w = eigenvalues_all(np.array([[0.0, 1.0], [1.0, 0.0]]))
