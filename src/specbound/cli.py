@@ -370,7 +370,7 @@ def _cmd_report(m):
     return 0
 
 
-# name -> (handler, help), in subcommand order; execute runs validate itself
+# name -> (handler, help), in subcommand order; main routes validate itself
 COMMANDS = {
     "bounds": (_cmd_bounds, "closed-form expected-norm bounds: (1+eps){2 sigma + c(eps) sigma* sqrt(log n)}, "
                "reference curves sigma sqrt(log n) and sigma* sqrt(n), dimension-free and "
@@ -395,10 +395,7 @@ COMMANDS = {
 
 
 def execute(m):
-    """Run a validated manifest; returns the process exit status."""
-    if m.command == "validate":
-        print(_json(validate(m), indent=2))
-        return 0
+    """Validate a manifest and run its command; returns the process exit status."""
     report = validate(m)
     if not report["valid"]:
         raise ParameterError("; ".join(report["violations"]))

@@ -458,7 +458,8 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
     """Sparse CSV triples "i,j,value" (0-based).
 
     Symmetric files carry the upper triangle only; the lower triangle is
-    mirrored on load.  Shape defaults to 1 + the largest index seen.
+    mirrored on load.  Shape defaults to 1 + the largest index seen; a
+    file with no triples needs an explicit shape.
     """
     ri, ci, vals = [], [], []
     with open(path, newline="") as fh:
@@ -478,7 +479,7 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
             ri.append(i)
             ci.append(j)
             vals.append(v)
-    if not vals:
+    if not vals and shape is None:
         raise DataError(f"empty matrix file: {path}")
     if shape is None:
         top = max(max(ri), max(ci)) + 1

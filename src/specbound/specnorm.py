@@ -378,7 +378,9 @@ def row_col_sumsq(M):
         rows = M.ext.power(2).sum(axis=1)
         return rows, rows
     if sp.issparse(M):
-        sq = M.multiply(M)
+        sq = sp.csr_array(M, copy=True)
+        sq.sum_duplicates()  # before squaring the stored values
+        sq.data **= 2
         # the CSR matvec sums each row in order; 1.0 * x is exact
         return sq @ np.ones(M.shape[1]), np.asarray(sq.sum(axis=0)).ravel()
     A = np.asarray(M, dtype=float)

@@ -647,6 +647,11 @@ def test_sparse_csv_roundtrip_mirrors_lower_triangle(tmp_path):
     path.write_text("1,0,1.0\n")
     with pytest.raises(DataError):
         coeffs.load_sparse_csv(path, kind="symmetric")  # lower triangle forbidden
+    path.write_text("")
+    with pytest.raises(DataError, match="empty matrix file"):
+        coeffs.load_sparse_csv(path, kind="symmetric")  # no triples, no shape
+    Z = coeffs.load_sparse_csv(path, kind="rectangular", shape=(3, 5))
+    assert Z.data.shape == (3, 5) and Z.nnz == 0
 
 
 def test_from_adjacency_requires_symmetry(tmp_path):

@@ -159,10 +159,18 @@ def test_sparse_row_and_column_sums_agree_bit_for_bit():
     U = sp.random_array((400, 400), density=0.1, rng=np.random.default_rng(5), format="csr")
     C = coeffs.CoefficientMatrix(sp.triu(U) + sp.triu(U, 1).T, "symmetric")
     samples = [sampling.sample_matrix(C, sampling.GAUSSIAN, sampling.SeedSpec(9, t)) for t in range(5)]
-    for M in [C.data, *samples]:
+    for M in [C.data, sp.csc_array(C.data), *samples]:
         row, col = specnorm.row_col_sumsq(M)
         assert np.array_equal(row.view(np.int64), col.view(np.int64))
         assert np.allclose(row, (M.toarray() ** 2).sum(axis=1), rtol=1e-14, atol=0)
+
+
+def test_row_col_sumsq_squares_repeated_entries_after_merging():
+    # entry (0, 1) stored twice: it is 1 + 2 = 3, so its square is 9, not 1 + 4
+    M = sp.csr_array((np.array([1.0, 2.0, 0.5]), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 2))
+    row, col = specnorm.row_col_sumsq(M)
+    assert row.tolist() == [9.0, 0.25] and col.tolist() == [0.25, 9.0]
+    assert M.data.tolist() == [1.0, 2.0, 0.5]  # the input is not merged in place
 
 
 def test_eigenvalues_all_examples():
