@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+import numpy as np
+
 from .coeffs import lp_entrywise_norm, structural_params
 from .errors import ParameterError, DataError
 from .sampling import NormEstimate, SeedSpec, STREAM_MAX_ENTRY
@@ -236,14 +238,15 @@ def _max_entry_maxima(C, trials, seed):
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    b = abs(sampling.contract_values(C))
+    b = sampling.contract_values(C)
     if b.size == 0:
         return []
     maxima = []
+    g = np.empty(b.shape[0])  # one buffer for every trial's draws
     for t in range(trials):
-        rng = SeedSpec(seed, t).generator(STREAM_MAX_ENTRY)
-        g = rng.standard_normal(b.shape[0])
-        maxima.append(float((b * abs(g)).max()))
+        SeedSpec(seed, t).generator(STREAM_MAX_ENTRY).standard_normal(out=g)
+        g *= b  # |b g| = |b| |g| exactly
+        maxima.append(specnorm._max_abs(g))
     return maxima
 
 

@@ -2,7 +2,9 @@
 
 A CoefficientMatrix holds the deterministic scalars that multiply the random
 entries.  Patterns below a 5% fill are kept in CSR form so that band matrices
-at n = 1e5 stay affordable; everything else is a dense array.  A CSR pattern
+at n = 1e5 stay affordable; everything else is a dense array.  scipy.sparse
+is imported by the code that builds or reads a CSR, so a process whose
+patterns are all dense (wigner, a dense file) never loads it.  A CSR pattern
 stores exactly its nonzeros, so that every storage draws one variate per
 nonzero coefficient (see ``sampling``).  A pattern owns
 its storage and every buffer of it is read-only (a CSR's data, indices and
@@ -26,10 +28,9 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DataError, ParameterError
-from .specnorm import _max_abs, row_col_sumsq
+from .specnorm import _issparse, _max_abs, row_col_sumsq
 
 SPARSE_FILL_THRESHOLD = 0.05
 FILE_SYMMETRY_TOL = 1e-12
@@ -60,7 +61,7 @@ class CoefficientMatrix:
     def __init__(self, entries, kind, sym_tol=0.0):
         if kind not in ("symmetric", "rectangular"):
             raise ParameterError(f"unknown kind {kind!r}")
-        if sp.issparse(entries):
+        if _issparse(entries):
             # a symmetric pattern's own copy comes from the symmetry check
             data = _canonical_csr(entries, copy=kind == "rectangular")
             values = data.data
@@ -92,7 +93,7 @@ class CoefficientMatrix:
 
     @property
     def is_sparse(self):
-        return sp.issparse(self._data)
+        return _issparse(self._data)
 
     @property
     def nnz(self):
@@ -168,7 +169,7 @@ def _mirrored_exactly(data, sym_tol):
     one variate per nonzero b_ij with i <= j and multiplies the mirrored
     variates by the stored values.
     """
-    dense = not sp.issparse(data)
+    dense = not _issparse(data)
     if dense:
         bits = data.view(np.int64)  # bitwise, so that -0.0 and 0.0 differ too
         if np.array_equal(bits, bits.T):
@@ -190,6 +191,8 @@ def _mirrored_exactly(data, sym_tol):
         raise DataError(f"pattern is not symmetric (max asymmetry {gap:g} > tol {sym_tol:g})")
     if dense:
         return np.where(np.tri(data.shape[0], k=-1, dtype=bool), data.T, data)
+    import scipy.sparse as sp
+
     U = sp.triu(data, format="coo")
     off = U.row != U.col
     mirrored = sp.coo_array(
@@ -204,6 +207,8 @@ def _mirrored_exactly(data, sym_tol):
 
 def _pack(rows, cols, vals, n, m, kind):
     """Store triples as CSR below the fill threshold, dense otherwise."""
+    import scipy.sparse as sp
+
     return _store(sp.coo_array((vals, (rows, cols)), shape=(n, m)).tocsr(), len(vals), kind)
 
 
@@ -261,6 +266,8 @@ def wigner(n):
 def diagonal(n):
     """Identity pattern."""
     n = _check_dim(n)
+    import scipy.sparse as sp
+
     return _store(sp.eye_array(n, format="csr"), n, "symmetric")
 
 
@@ -268,6 +275,8 @@ def diagonal(n):
 def band(n, k):
     """b_ij = 1 iff |i - j| <= k: the 2k + 1 diagonals -k .. k."""
     n = _check_dim(n)
+    import scipy.sparse as sp
+
     if not 0 <= k < n:
         raise ParameterError(f"band requires 0 <= k < n, got k={k}, n={n}")
     k = int(k)
@@ -286,6 +295,8 @@ def band_cyclic(n, k):
     n = _check_dim(n)
     if not 0 <= k < n or 2 * int(k) + 1 > n:
         raise ParameterError(f"band_cyclic requires 0 <= 2k+1 <= n, got k={k}, n={n}")
+    import scipy.sparse as sp
+
     k = int(k)
     w = 2 * k + 1
     # row i holds columns i-k .. i+k mod n, distinct since w <= n; with
@@ -306,6 +317,8 @@ def block_diagonal(n, k):
     k = _check_dim(k)
     if n % k != 0:
         raise ParameterError(f"block_diagonal requires k | n, got n={n}, k={k}")
+    import scipy.sparse as sp
+
     # I_(n/k) (x) J_k
     return _store(sp.kron(sp.eye_array(n // k), np.ones((k, k)), format="csr"), n * k, "symmetric")
 
@@ -325,6 +338,8 @@ def log_decay_diagonal(n):
     capped at 1; this keeps sigma_star = 1 while preserving the slow decay
     of the rest of the diagonal.
     """
+    import scipy.sparse as sp
+
     n = _check_dim(n)
     i = np.arange(1, n + 1, dtype=float)
     vals = np.ones(n)
@@ -398,13 +413,16 @@ def lp_entrywise_norm(C, p):
     """Entrywise l_p norm over all (i, j) pairs (both triangles counted)."""
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    vals = np.abs(C.data.data) if C.is_sparse else np.abs(np.asarray(C.data)).ravel()
-    vals = vals[vals > 0]
+    A = C.data.data if C.is_sparse else np.asarray(C.data).ravel()
+    vals = A[A != 0]  # the one nnz-sized buffer: the rest is in place
+    np.abs(vals, out=vals)
     if vals.size == 0:
         return 0.0
     # factor out the max to keep the powers in range for large p
     top = vals.max()
-    return float(top * (((vals / top) ** p).sum()) ** (1.0 / p))
+    vals /= top
+    vals **= p
+    return float(top * vals.sum() ** (1.0 / p))
 
 
 def large_entry_count(C, c):
@@ -459,9 +477,10 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
 
     Symmetric files carry the upper triangle only; the lower triangle is
     mirrored on load.  Shape defaults to 1 + the largest index seen; a
-    file with no triples needs an explicit shape.
+    file with no triples needs an explicit shape.  An entry listed twice is
+    refused, not summed.
     """
-    ri, ci, vals = [], [], []
+    ri, ci, vals, seen = [], [], [], set()
     with open(path, newline="") as fh:
         for line in csv.reader(fh):
             if not line:
@@ -476,6 +495,9 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
                 raise DataError("indices must be >= 0")
             if kind == "symmetric" and i > j:
                 raise DataError("symmetric sparse file must store the upper triangle only")
+            if (i, j) in seen:
+                raise DataError(f"repeated entry ({i}, {j}) in {path}")
+            seen.add((i, j))
             ri.append(i)
             ci.append(j)
             vals.append(v)
@@ -499,7 +521,9 @@ def write_matrix_csv(M, path, symmetric):
     Sparse matrices go out as triples (upper triangle only when
     ``symmetric``); dense ones as a plain numeric grid.
     """
-    if sp.issparse(M):
+    if _issparse(M):
+        import scipy.sparse as sp
+
         coo = (sp.triu(M, k=0) if symmetric else M).tocoo()
         order = np.lexsort((coo.col, coo.row))
         with open(path, "w", newline="") as fh:

@@ -20,13 +20,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
 from .errors import NonConvergenceError, ParameterError
 from .sampling import NormEstimate, STREAM_PATTERN, SeedSpec, sample_matrix, trial_sample
-from .specnorm import EIG_DENSE_THRESHOLD, _single_blas_thread, eigenvalues_all, max_row_norm, spectral_norm
+from .specnorm import EIG_DENSE_THRESHOLD, _issparse, _single_blas_thread, eigenvalues_all, max_row_norm, spectral_norm
 
 K_RULE_NAMES = ("const", "c_log", "log_sq", "sqrt")
 DEFAULT_NORM_TOL = 1e-4  # MC experiments relax the solver tolerance to 1e-4
@@ -255,7 +254,7 @@ def spectral_density_check(C, dist, seed):
 
 def _block_norms(X, nblocks, k):
     """Spectral norm of a block-diagonal sample via batched small eigh."""
-    if sp.issparse(X):
+    if _issparse(X):
         # a sample keeps the pattern's CSR: k sorted entries in every row
         blocks = X.data.reshape(nblocks, k, k)
     else:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 from .specnorm import BandedMatrix
@@ -186,6 +185,8 @@ def _transpose(A):
     (column, row) order, the row-major slot order of the transpose; its data
     is what argsort(A.indices, kind="stable") gives, in A's index dtype.
     """
+    import scipy.sparse as sp
+
     ids = np.arange(A.indices.shape[0], dtype=A.indices.dtype)
     return sp.csr_array((ids, A.indices, A.indptr), shape=A.shape).T.tocsr()
 
@@ -273,6 +274,7 @@ def _compile_plan(C):
         b = None  # x * 1.0 is x bit for bit
     shape = A.shape
     if C.is_sparse:
+        import scipy.sparse as sp
 
         def csr(vals):
             return sp.csr_array((vals, A.indices, A.indptr), shape=shape)

@@ -28,6 +28,10 @@ Whatever the iteration's precision, the Ritz vector is taken to float64
 and one float64 matvec of the input itself gives the reported value (the
 Rayleigh quotient) and its residual.
 
+scipy.sparse and scipy.sparse.linalg are imported where a sparse or banded
+matrix is built or solved, and ``_issparse`` tests for sparse input without
+the import, so a process that only solves dense matrices loads neither.
+
 An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
 basis gains nothing from a second OpenBLAS thread, which mostly spins.
 ``_single_blas_thread`` is the pin; the Monte Carlo layer takes it around
@@ -39,12 +43,12 @@ solve called directly keeps the process's BLAS threads.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import DataError, NonConvergenceError, ParameterError, SizeError
 
@@ -180,6 +184,8 @@ class BandedMatrix:
     """
 
     def __init__(self, data, offsets):
+        import scipy.sparse as sp
+
         lo, width = int(offsets[0]), data.shape[1]
         n = width - (int(offsets[-1]) - lo)
         self.offsets = offsets
@@ -197,6 +203,8 @@ class BandedMatrix:
 
     def tocsr(self):
         """The matrix as a canonical CSR of its nonzeros."""
+        import scipy.sparse as sp
+
         n, width = self.ext.shape
         fold = sp.csr_array((np.ones(width), self.wrap, np.arange(width + 1)), shape=(width, n))
         X = self.ext.tocsr() @ fold  # one nonzero term per entry: exact
@@ -207,16 +215,23 @@ class BandedMatrix:
         return self.tocsr().toarray()
 
 
+def _issparse(x):
+    # scipy.sparse.issparse(x) without the import: no sparse array exists
+    # before it, nor while another thread is still importing it
+    issparse = getattr(sys.modules.get("scipy.sparse"), "issparse", None)
+    return issparse is not None and issparse(x)
+
+
 def _max_abs(M):
     # max |x| without an |x| copy; NaN propagates through max and min
-    a = M.data if sp.issparse(M) or isinstance(M, BandedMatrix) else np.asarray(M)
+    a = M.data if _issparse(M) or isinstance(M, BandedMatrix) else np.asarray(M)
     return abs(float(max(a.max(), -a.min()))) if a.size else 0.0
 
 
 def _is_symmetric(M):
     if M.shape[0] != M.shape[1]:
         return False
-    if sp.issparse(M):
+    if _issparse(M):
         d = M - M.T
         return d.nnz == 0 or float(np.abs(d.data).max()) == 0.0
     return np.array_equal(M, np.asarray(M).T)
@@ -225,7 +240,7 @@ def _is_symmetric(M):
 def _is_diagonal(M):
     # a nonzero stored off the diagonal makes the first count the larger
     # one; more nonzeros than diagonal slots settles it without the diagonal
-    stored = np.count_nonzero(M.data if sp.issparse(M) else np.asarray(M))
+    stored = np.count_nonzero(M.data if _issparse(M) else np.asarray(M))
     return bool(stored <= min(M.shape) and stored == np.count_nonzero(M.diagonal()))
 
 
@@ -271,7 +286,7 @@ def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
     if peak == 0.0:
         return NormResult(0.0, method or "dense_eig", 0, 0.0)
     banded = isinstance(M, BandedMatrix)
-    stored = banded or sp.issparse(M)
+    stored = banded or _issparse(M)
     if symmetric is None:
         symmetric = banded or _is_symmetric(M)
     dim = n if symmetric else n + m
@@ -299,12 +314,13 @@ def _arpack_norm(M, symmetric, tol, peak):
     ``peak`` is max |entry| of M."""
     # imported on first use: runs that only solve dense matrices skip its
     # import time and memory
+    import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n, m = M.shape
     dim = n if symmetric else n + m
     banded = isinstance(M, BandedMatrix)
-    X = M if banded or sp.issparse(M) else np.asarray(M, dtype=float)
+    X = M if banded or _issparse(M) else np.asarray(M, dtype=float)
 
     def matvec_of(A):
         if symmetric:
@@ -317,7 +333,7 @@ def _arpack_norm(M, symmetric, tol, peak):
         return matvec
 
     exact = matvec_of(X)
-    if tol < _SINGLE_TOL or not (banded or sp.issparse(X)):
+    if tol < _SINGLE_TOL or not (banded or _issparse(X)):
         scale, dtype, matvec = 1.0, np.float64, exact
     else:
         # float32 values over the input's own structure: its CSR index
@@ -377,7 +393,9 @@ def row_col_sumsq(M):
     if isinstance(M, BandedMatrix):
         rows = M.ext.power(2).sum(axis=1)
         return rows, rows
-    if sp.issparse(M):
+    if _issparse(M):
+        import scipy.sparse as sp
+
         sq = sp.csr_array(M, copy=True)
         sq.sum_duplicates()  # before squaring the stored values
         sq.data **= 2
@@ -409,6 +427,6 @@ def eigenvalues_all(M):
         raise SizeError(
             f"n={n} exceeds the dense cap {EIG_DENSE_THRESHOLD}; sample Ritz values instead"
         )
-    A = M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+    A = M.toarray() if _issparse(M) else np.asarray(M, dtype=float)
     w = np.linalg.eigvalsh(A)
     return w[::-1].copy()

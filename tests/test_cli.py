@@ -148,7 +148,8 @@ def test_cli_validate_checks_the_manifest_command(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [("x,0,1\n", "malformed field"), ("1.5,0,1\n", "malformed field"), ("0,0,z\n", "malformed field"),
-     ("", "empty matrix file"), ("\n\n", "empty matrix file")],
+     ("", "empty matrix file"), ("\n\n", "empty matrix file"),
+     ("0,1,1.0\n0,1,2.0\n", "repeated entry (0, 1)")],
 )
 def test_malformed_sparse_csv_is_a_data_error(tmp_path, capsys, text, message):
     path = tmp_path / "s.csv"

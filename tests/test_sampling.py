@@ -576,6 +576,19 @@ def test_sample_peak_memory():
     assert peak <= 8 * size + B.data.nbytes + B.wrap.nbytes + 2**16 + 2**14
 
 
+
+def test_report_temporaries_peak_memory():
+    # the l_p norm holds one filtered copy of the entries (and its mask);
+    # the max-entry draws hold the coefficients and one draw buffer
+    C = coeffs.CoefficientMatrix(np.full((300, 400), -2.0), "rectangular")
+    size = C.rows * C.cols
+    for fn in (lambda: coeffs.lp_entrywise_norm(C, 3), lambda: bounds._max_entry_maxima(C, 3, 1)):
+        fn()  # first calls set up numpy's own caches
+    _, peak = traced_peak(lambda: coeffs.lp_entrywise_norm(C, 3))
+    assert peak <= 9 * size + 2**14
+    _, peak = traced_peak(lambda: bounds._max_entry_maxima(C, 3, 1))
+    assert peak <= 16 * size + 2**14
+
 def test_band_sample_preserves_zero_pattern():
     C = coeffs.band(7, 1)
     X = sample_matrix(C, GAUSSIAN, SeedSpec(1, 0))

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -585,3 +586,41 @@ def test_pin_does_not_load_scipy_blas_in_a_dense_only_run(fresh_python):
     mapped = json.loads(fresh_python("-c", _DENSE_ONLY_REPORT).stdout)
     assert any(name.startswith("libscipy_openblas64_") for name in mapped)  # numpy's
     assert not any(name.startswith("libscipy_openblas-") for name in mapped)
+
+
+_DENSE_RUNS_SKIP_SCIPY_SPARSE = """
+import json, sys
+import specbound as sb
+import specbound.cli as cli
+
+def loaded():
+    return "scipy.sparse" in sys.modules
+
+seen = {"import": loaded()}
+sb.wigner(512)
+seen["wigner"] = loaded()
+sb.bounds_vs_empirical_report(sb.wigner(64), sb.GAUSSIAN, 0.25, 4, 1)
+seen["report"] = loaded()
+cli.main(["bounds", "--pattern", "wigner:64"])
+seen["bounds"] = loaded()
+cli.main(["report", "--matrix-file", sys.argv[1], "--trials", "4"])
+seen["dense file"] = loaded()
+sb.band_cyclic(64, 1)
+seen["band_cyclic"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_dense_runs_never_import_scipy_sparse(fresh_python, tmp_path):
+    path = tmp_path / "dense.csv"
+    path.write_text("2,1,0\n1,2,1\n0,1,2\n")
+    out = fresh_python("-c", _DENSE_RUNS_SKIP_SCIPY_SPARSE, str(path)).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen == {"import": False, "wigner": False, "report": False, "bounds": False,
+                    "dense file": False, "band_cyclic": True}
+
+
+def test_issparse_is_false_while_scipy_sparse_is_half_imported(monkeypatch):
+    assert specnorm._issparse(sp.eye_array(2)) is True
+    monkeypatch.setitem(sys.modules, "scipy.sparse", types.ModuleType("scipy.sparse"))
+    assert specnorm._issparse(np.zeros((2, 2))) is False
