@@ -275,10 +275,10 @@ def diagonal(n):
 def band(n, k):
     """b_ij = 1 iff |i - j| <= k: the 2k + 1 diagonals -k .. k."""
     n = _check_dim(n)
-    import scipy.sparse as sp
-
     if not 0 <= k < n:
         raise ParameterError(f"band requires 0 <= k < n, got k={k}, n={n}")
+    import scipy.sparse as sp
+
     k = int(k)
     mat = sp.diags_array([1.0] * (2 * k + 1), offsets=range(-k, k + 1), shape=(n, n), format="csr")
     return _store(mat, mat.nnz, "symmetric")
@@ -338,9 +338,9 @@ def log_decay_diagonal(n):
     capped at 1; this keeps sigma_star = 1 while preserving the slow decay
     of the rest of the diagonal.
     """
+    n = _check_dim(n)
     import scipy.sparse as sp
 
-    n = _check_dim(n)
     i = np.arange(1, n + 1, dtype=float)
     vals = np.ones(n)
     if n > 1:
