@@ -2,7 +2,10 @@
 
 Every run is a pure function of its manifest (flags merged over an optional
 JSON manifest file), including the master seed, so re-running a recipe
-reproduces its output files byte for byte at any thread count.
+reproduces its output files byte for byte at any thread count.  A key is
+declared once, as a ``RunManifest`` field: its annotation gives the key's
+JSON type and, as a ``Literal``, its allowed values, which the flag's
+``choices`` share.  A value outside them exits 1.
 
 Exit codes: 0 success; 1 parameter/validation error; 2 a mathematical
 guarantee or verification failed; 3 an iterative solver did not converge.
@@ -16,8 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import bounds as bounds_mod
 from . import coeffs as coeffs_mod
@@ -29,31 +32,6 @@ from .specnorm import spectral_norm
 
 OUTPUT_DIR_ENV = "SPECBOUND_OUTPUT_DIR"
 
-_NUMBER = (int, float)
-# manifest key -> accepted JSON type; [t] is a list of t
-_MANIFEST_TYPES = {
-    "command": str,
-    "pattern": str,
-    "matrix_file": str,
-    "matrix_format": str,
-    "matrix_kind": str,
-    "distribution": str,
-    "epsilon": _NUMBER,
-    "alpha": _NUMBER,
-    "beta": _NUMBER,
-    "p": _NUMBER,
-    "trials": int,
-    "seed": int,
-    "tol": _NUMBER,
-    "output": str,
-    "threads": int,
-    "n_grid": [int],
-    "k_rule": str,
-    "t_grid": [_NUMBER],
-    "moments_action": str,
-    "band_variant": str,
-}
-
 
 def _json(obj, **kwargs):
     """JSON text of obj; a NaN or infinite float raises, since JSON has neither."""
@@ -64,10 +42,16 @@ def _is_finite(value):
     return all(math.isfinite(v) for v in (value if isinstance(value, list) else [value]) if isinstance(v, float))
 
 
-def _has_type(value, kind):
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _has_type(value, hint):
+    """True iff a JSON value has the type hint's type; a float takes an int, and a bool is no number."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[t]
+        return any(_has_type(value, a) for a in args)
+    if origin is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if hint is type(None):
+        return value is None
+    return isinstance(value, (int, float) if hint is float else hint) and not isinstance(value, bool)
 
 
 @dataclass
@@ -77,11 +61,10 @@ class RunManifest:
     command: str
     pattern: Optional[str] = None
     matrix_file: Optional[str] = None
-    matrix_format: str = "dense"
-    matrix_kind: str = "symmetric"
+    matrix_format: Literal["dense", "sparse"] = "dense"
+    matrix_kind: Literal["symmetric", "rectangular"] = "symmetric"
     distribution: str = "gaussian"
     epsilon: float = 0.25
-    alpha: Optional[float] = None
     beta: Optional[float] = None
     p: Optional[float] = None  # moment half-length (integer) or l_p exponent
     trials: int = 200
@@ -89,24 +72,24 @@ class RunManifest:
     tol: float = 1e-4
     output: Optional[str] = None
     threads: int = 1
-    n_grid: Optional[list] = None
+    n_grid: Optional[list[int]] = None
     k_rule: Optional[str] = None
-    t_grid: list = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0])
-    moments_action: str = "census"
-    band_variant: str = "cyclic"
+    t_grid: list[float] = field(default_factory=lambda: [0.0, 1.0, 2.0, 3.0, 4.0])
+    moments_action: Literal["census", "verify"] = "census"
+    band_variant: Literal["cyclic", "truncated"] = "cyclic"
 
     @staticmethod
     def from_dict(data):
-        unknown = set(data) - set(_MANIFEST_TYPES)
+        unknown = set(data) - set(_HINTS)
         if unknown:
             raise ParameterError(f"unknown manifest keys: {sorted(unknown)}")
         if "command" not in data:
             raise ParameterError("manifest needs a command")
-        optional = {f.name for f in fields(RunManifest) if f.default is None}
         for key, value in data.items():
-            if value is None and key in optional:
-                continue
-            if not _has_type(value, _MANIFEST_TYPES[key]):
+            if get_origin(_HINTS[key]) is Literal:
+                if value not in _choices(key):
+                    raise ParameterError(f"manifest key {key!r} must be one of {_choices(key)}: {value!r}")
+            elif not _has_type(value, _HINTS[key]):
                 raise ParameterError(f"manifest key {key!r} has the wrong type: {value!r}")
             if not _is_finite(value):
                 # the manifest is echoed as JSON, which has no NaN or Infinity
@@ -117,6 +100,16 @@ class RunManifest:
         """git-style blob sha1 of the canonical manifest JSON."""
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha1(b"blob %d\x00" % len(blob) + blob).hexdigest()
+
+
+# the one declaration of each key's JSON type and allowed values; resolving
+# the hints costs ~0.45 ms, so it is done once, not per flag
+_HINTS = get_type_hints(RunManifest)
+
+
+def _choices(key):
+    """Allowed values of a Literal-annotated manifest key."""
+    return list(get_args(_HINTS[key]))
 
 
 def parse_pattern(spec):
@@ -154,8 +147,10 @@ def validate(m):
         violations.append(f"unknown command {m.command!r}")
     if not 0 < m.epsilon <= 0.5:
         violations.append("epsilon must be in (0, 1/2]")
-    if m.alpha is not None and m.alpha < 3:
-        violations.append("alpha must be >= 3 for the bounded-entry bound")
+    try:
+        distribution_from_code(m.distribution)
+    except ParameterError as exc:
+        violations.append(str(exc))
     if m.beta is not None and m.beta <= 0:
         violations.append("beta must be > 0")
     if m.p is not None and m.p < 1:
@@ -170,6 +165,8 @@ def validate(m):
         violations.append(f"{m.command} needs n_grid")
     if m.command == "phase" and not m.k_rule:
         violations.append("phase needs k_rule")
+    if m.command == "phase" and m.pattern and m.pattern not in ("band", "regular_random"):
+        violations.append("phase patterns are band or regular_random")
     if m.command == "tails" and m.trials < 1000:
         violations.append("tails needs trials >= 1000")
     if m.command == "moments":
@@ -295,13 +292,8 @@ def _cmd_moments(m):
 
 def _cmd_phase(m):
     dist = distribution_from_code(m.distribution)
-    pattern = "band"
-    if m.pattern in ("band", "regular_random"):
-        pattern = m.pattern
-    elif m.pattern:
-        raise ParameterError("phase patterns are band or regular_random")
     grid = exp_mod.phase_scan(
-        pattern,
+        m.pattern or "band",
         [int(x) for x in m.n_grid],
         m.k_rule,
         dist,
@@ -406,11 +398,10 @@ def _add_common(sub):
     sub.add_argument("--manifest", help="JSON manifest; flags override its keys")
     sub.add_argument("--pattern", help="pattern spec name:params, e.g. band:4096,16")
     sub.add_argument("--matrix-file", dest="matrix_file", help="CSV matrix file")
-    sub.add_argument("--matrix-format", dest="matrix_format", choices=["dense", "sparse"])
-    sub.add_argument("--matrix-kind", dest="matrix_kind", choices=["symmetric", "rectangular"])
+    sub.add_argument("--matrix-format", dest="matrix_format", choices=_choices("matrix_format"))
+    sub.add_argument("--matrix-kind", dest="matrix_kind", choices=_choices("matrix_kind"))
     sub.add_argument("--distribution", help="gaussian | rademacher | uniform | heavy:<beta>")
     sub.add_argument("--epsilon", type=float, help="accuracy parameter in (0, 1/2]")
-    sub.add_argument("--alpha", type=float)
     sub.add_argument("--beta", type=float)
     sub.add_argument("--p", type=float)
     sub.add_argument("--trials", type=int)
@@ -435,12 +426,12 @@ def build_parser():
         s = sub.add_parser(cmd, help=text, description=text)
         _add_common(s)
         if cmd == "moments":
-            s.add_argument("moments_action", nargs="?", choices=["census", "verify"])
+            s.add_argument("moments_action", nargs="?", choices=_choices("moments_action"))
         if cmd in ("phase", "seginer"):
             s.add_argument("--n", dest="n_grid", help="comma-separated n grid")
         if cmd == "phase":
             s.add_argument("--k-rule", dest="k_rule", help="const:<k> | c_log:<c> | log_sq | sqrt")
-            s.add_argument("--band-variant", dest="band_variant", choices=["cyclic", "truncated"])
+            s.add_argument("--band-variant", dest="band_variant", choices=_choices("band_variant"))
         if cmd == "tails":
             s.add_argument("--t-grid", dest="t_grid", help="comma-separated t values")
     return parser

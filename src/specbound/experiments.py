@@ -89,25 +89,19 @@ def regular_random_pattern(n, k, seed):
         g = nx.random_regular_graph(int(k), int(n), seed=rng_seed)
     except (nx.NetworkXError, ValueError) as exc:
         raise ParameterError(f"infeasible k-regular pattern (n={n}, k={k}): {exc}") from None
-    rows, cols = [], []
-    for a, b in g.edges():
-        rows += [a, b]
-        cols += [b, a]
-    return coeffs_mod._pack(rows, cols, np.ones(len(rows)), n, n, "symmetric")
+    edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)  # edge (a, b) sets b_ab and b_ba
+    return coeffs_mod._pack(edges.ravel(), edges[:, ::-1].ravel(), np.ones(edges.size), n, n, "symmetric")
 
 
 def resolve_k_rule(rule, n):
     """Map a k-rule spec ("const:3", "c_log:1.5", "log_sq", "sqrt") to k."""
-    if isinstance(rule, (tuple, list)):
-        name, param = rule[0], (rule[1] if len(rule) > 1 else None)
-    else:
-        name, _, text = str(rule).partition(":")
-        try:
-            param = float(text) if text else None
-        except ValueError:
-            raise ParameterError(f"k rule {rule!r}: {text!r} is not a number") from None
-        if param is not None and not math.isfinite(param):
-            raise ParameterError(f"k rule {rule!r}: the value must be finite")
+    name, _, text = str(rule).partition(":")
+    try:
+        param = float(text) if text else None
+    except ValueError:
+        raise ParameterError(f"k rule {rule!r}: {text!r} is not a number") from None
+    if param is not None and not math.isfinite(param):
+        raise ParameterError(f"k rule {rule!r}: the value must be finite")
     if name not in K_RULE_NAMES:
         raise ParameterError(f"unknown k rule {name!r}; expected one of {K_RULE_NAMES}")
     if name == "const":

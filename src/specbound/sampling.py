@@ -93,7 +93,14 @@ def distribution_from_code(code):
     if code == "uniform":
         return BOUNDED_UNIFORM
     if code.startswith("heavy:"):
-        return EntryDistribution("heavy_tailed", beta=float(code.split(":", 1)[1]))
+        text = code.partition(":")[2]
+        try:
+            beta = float(text)
+        except ValueError:
+            raise ParameterError(f"distribution code {code!r}: {text!r} is not a number") from None
+        if not math.isfinite(beta):
+            raise ParameterError(f"distribution code {code!r}: beta must be finite")
+        return EntryDistribution("heavy_tailed", beta=beta)
     raise ParameterError(f"unknown distribution code {code!r}")
 
 

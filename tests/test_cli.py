@@ -68,10 +68,44 @@ def test_validate_moments_runs_the_comparison_precondition(tmp_path, capsys):
     assert json.loads(err) == {"error": "ParameterError", "message": message}
 
 
-def test_validate_alpha():
-    m = RunManifest(command="bounds", pattern="wigner:8", alpha=2.0)
-    rep = validate(m)
-    assert any("alpha" in v for v in rep["violations"])
+def test_alpha_is_an_unknown_key(tmp_path, capsys):
+    # no command read alpha, so the key and the flag are gone: null is refused too
+    message = "unknown manifest keys: ['alpha']"
+    for value in (None, 4.0):
+        data = {"command": "bounds", "pattern": "wigner:8", "alpha": value}
+        with pytest.raises(ParameterError) as exc:
+            RunManifest.from_dict(data)
+        assert str(exc.value) == message
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "bounds", "--manifest", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ParameterError", "message": message}
+    with pytest.raises(SystemExit):
+        main(["bounds", "--pattern", "wigner:8", "--alpha", "4"])
+    assert "unrecognized arguments: --alpha 4" in capsys.readouterr().err
+
+
+def test_manifest_round_trips_through_a_dict():
+    defaults = RunManifest(command="bounds")
+    m = RunManifest(
+        command="phase", pattern="band", matrix_file="m.csv", matrix_format="sparse", matrix_kind="rectangular",
+        distribution="rademacher", epsilon=0.1, beta=2.0, p=3.0, trials=7, seed=5, tol=1e-6, output="o.csv",
+        threads=2, n_grid=[64, 128], k_rule="const:3", t_grid=[0.5, 1.5], moments_action="verify",
+        band_variant="truncated",
+    )
+    assert all(getattr(m, f.name) != getattr(defaults, f.name) for f in dataclasses.fields(m))
+    assert RunManifest.from_dict(dataclasses.asdict(m)) == m
+
+
+def test_manifest_choice_error_names_the_allowed_values(tmp_path, capsys):
+    # a misspelled format used to load, and read i,j,value triples as a dense matrix
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": "bounds", "matrix_file": "tri.csv", "matrix_format": "Sparse"}))
+    code, out, err = run_cli(capsys, "bounds", "--manifest", str(path))
+    assert code == 1 and out == ""
+    message = "manifest key 'matrix_format' must be one of ['dense', 'sparse']: 'Sparse'"
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
 
 
 def test_validate_never_raises_on_bad_pattern():
@@ -294,7 +328,8 @@ def test_cli_nonconvergence_exit_code(capsys, monkeypatch, partial, best):
     "key, value",
     [("n_grid", "512,1024"), ("n_grid", [512.5]), ("t_grid", [0, "1"]), ("trials", "10"),
      ("trials", 10.0), ("epsilon", "0.25"), ("seed", True), ("pattern", 5),
-     ("tol", float("nan")), ("t_grid", [0.0, float("inf")])],
+     ("tol", float("nan")), ("t_grid", [0.0, float("inf")]), ("matrix_format", "Sparse"),
+     ("matrix_kind", "Rectangular"), ("moments_action", "verfy"), ("band_variant", "Truncated")],
 )
 def test_cli_manifest_value_types(tmp_path, capsys, key, value):
     manifest = tmp_path / "m.json"
@@ -305,6 +340,33 @@ def test_cli_manifest_value_types(tmp_path, capsys, key, value):
     assert json.loads(err)["error"] == "ParameterError"
     with pytest.raises(ParameterError):
         RunManifest.from_dict(dict(data, **{key: value}))
+
+
+@pytest.mark.parametrize(
+    "dist, message",
+    [("bogus", "unknown distribution code 'bogus'"),
+     ("heavy:abc", "distribution code 'heavy:abc': 'abc' is not a number"),
+     ("heavy:nan", "distribution code 'heavy:nan': beta must be finite"),
+     ("heavy:inf", "distribution code 'heavy:inf': beta must be finite")],
+    ids=["bogus", "heavy:abc", "heavy:nan", "heavy:inf"],
+)
+def test_cli_malformed_distribution_code(capsys, dist, message):
+    code, out, err = run_cli(capsys, "bounds", "--pattern", "wigner:8", "--distribution", dist)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+    assert validate(RunManifest(command="bounds", pattern="wigner:8", distribution=dist))["violations"] == [message]
+
+
+def test_validate_refuses_a_phase_pattern_other_than_band_or_regular_random(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": "phase", "pattern": "wigner:8", "n_grid": [64], "k_rule": "const:3"}))
+    message = "phase patterns are band or regular_random"
+    code, out, _ = run_cli(capsys, "validate", "--manifest", str(path))
+    assert code == 0
+    assert json.loads(out) == {"command": "phase", "valid": False, "violations": [message]}
+    code, out, err = run_cli(capsys, "phase", "--manifest", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
 
 
 @pytest.mark.parametrize("spec", ["band:abc", "band:5", "band:5,2,7", "wigner:x"])

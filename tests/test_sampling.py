@@ -755,8 +755,9 @@ def test_distribution_code_parsing():
     assert distribution_from_code("uniform").family == "bounded_uniform"
     d = distribution_from_code("heavy:2.5")
     assert d.family == "heavy_tailed" and d.beta == 2.5
-    with pytest.raises(ParameterError):
-        distribution_from_code("cauchy")
+    for bad in ("cauchy", "heavy:abc", "heavy:nan", "heavy:inf", "heavy:0.5"):
+        with pytest.raises(ParameterError):
+            distribution_from_code(bad)
 
 
 def test_invalid_distributions_rejected():
