@@ -69,7 +69,7 @@ def test_validate_moments_runs_the_comparison_precondition(tmp_path, capsys):
 
 
 def test_alpha_is_an_unknown_key(tmp_path, capsys):
-    # no command read alpha, so the key and the flag are gone: null is refused too
+    # alpha is no manifest key and no flag: a manifest carrying it, even as null, is refused
     message = "unknown manifest keys: ['alpha']"
     for value in (None, 4.0):
         data = {"command": "bounds", "pattern": "wigner:8", "alpha": value}
@@ -99,7 +99,7 @@ def test_manifest_round_trips_through_a_dict():
 
 
 def test_manifest_choice_error_names_the_allowed_values(tmp_path, capsys):
-    # a misspelled format used to load, and read i,j,value triples as a dense matrix
+    # read as dense, a file of i,j,value triples would get bounds for the wrong matrix
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"command": "bounds", "matrix_file": "tri.csv", "matrix_format": "Sparse"}))
     code, out, err = run_cli(capsys, "bounds", "--manifest", str(path))

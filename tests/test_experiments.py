@@ -83,6 +83,26 @@ def test_regular_random_pattern():
         experiments.regular_random_pattern(51, 7, seed=0)  # n*k odd
 
 
+@pytest.mark.parametrize("n, k", [(200, 3), (40, 7), (64, 0)])
+def test_regular_random_pattern_matches_the_edge_loop(n, k):
+    import networkx as nx
+
+    seed = 5
+    rng_seed = int(SeedSpec(seed, 0).generator(sampling.STREAM_PATTERN).integers(0, 2**32))
+    rows, cols = [], []
+    for a, b in nx.random_regular_graph(k, n, seed=rng_seed).edges():
+        rows += [a, b]
+        cols += [b, a]
+    ref = coeffs._pack(rows, cols, np.ones(len(rows)), n, n, "symmetric")
+    C = experiments.regular_random_pattern(n, k, seed)
+    def arrays(M):
+        return (M.data.indices, M.data.indptr, M.data.data) if M.is_sparse else (M.data,)
+
+    assert C.is_sparse is ref.is_sparse
+    for got, want in zip(arrays(C), arrays(ref)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_phase_scan_band_small():
     grid = experiments.phase_scan(
         "band", [128, 256], "const:3", GAUSSIAN, trials=8, seed=9
