@@ -29,13 +29,13 @@ from .bounds import (
     bound_rect,
     bound_reference,
     bound_seginer,
-    bound_subgaussian,
     gaussian_moment_bounds,
     lower_bound_estimate,
     lower_bound_explicit,
     reference_tail_curves,
     tail_bound,
     tail_bound_second_form,
+    upper_bounds,
 )
 from .errors import (
     DataError,

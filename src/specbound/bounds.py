@@ -4,7 +4,9 @@ Bounds whose constants are stated explicitly in the underlying results are
 flagged constant_mode="explicit"; wherever the source statement only holds
 up to a universal constant, the bracketed expression is evaluated with
 constant 1 and flagged "structural".  Structural values are comparison
-curves, not guarantees.
+curves, not guarantees.  ``upper_bounds`` is the one catalogue of the
+expected-norm bounds that apply to a pattern under an entry law: it decides
+which are listed and which of them are guarantees for that law.
 """
 
 from __future__ import annotations
@@ -123,20 +125,6 @@ def bound_reference(C, kind):
     return _report(kind, value, STRUCTURAL, C)
 
 
-def bound_subgaussian(C, epsilon):
-    """Gaussian-shaped bound for subgaussian entries.
-
-    Same numeric value as the Gaussian bound, but flagged structural: for
-    merely subgaussian entries the statement carries an extra universal
-    constant depending on the tail envelope.
-    """
-    base = bound_main(C, epsilon) if C.kind == "symmetric" else bound_rect(C, epsilon)
-    base.constant_mode = STRUCTURAL
-    base.bound_name = "subgaussian"
-    base.note = "value valid up to a universal constant depending on the subgaussian envelope"
-    return base
-
-
 def bound_heavy(C, beta):
     """sigma + sigma_star * (log n)^(max(beta,1)/2) for heavy-tailed entries."""
     if beta <= 0:
@@ -227,6 +215,38 @@ def bound_rademacher(C, epsilon, tol=1e-8):
         norm_b = specnorm.spectral_norm(C.absolute(), tol=tol).value
     value = min(main.value, norm_b)
     return replace(main, bound_name="rademacher", value=float(value), constant_mode=STRUCTURAL)
+
+
+def upper_bounds(C, dist, epsilon, p=1.0):
+    """The expected-norm upper bounds that apply to C under entry law dist, in print order.
+
+    Symmetric C: main, nck, gordon; seginer if n >= 2 and sigma > 0; then
+    rademacher or heavy (at the law's beta) for those laws.  Rectangular C:
+    rect.  Either: dimfree(p) if sigma_star > 0.  main and rect, proved for
+    Gaussian entries, stay explicit for a law whose even moments are at most
+    the Gaussian's, E xi^(2k) <= (2k-1)!!: these laws are symmetric, so each
+    term of E Tr X^(2p) is a nonnegative coefficient product times even
+    entry moments, at most the Gaussian term.  Other laws get structural.
+    """
+    sp_ = structural_params(C)
+    if C.kind == "symmetric":
+        reports = [bound_main(C, epsilon), bound_reference(C, "nck"), bound_reference(C, "gordon")]
+        if C.rows >= 2 and sp_.sigma > 0:
+            reports.append(bound_seginer(C))
+        if dist.family == "rademacher":
+            reports.append(bound_rademacher(C, epsilon))
+        if dist.family == "heavy_tailed":
+            reports.append(bound_heavy(C, dist.beta))
+    else:
+        reports = [bound_rect(C, epsilon)]
+    if sp_.sigma_star > 0:
+        reports.append(bound_dimfree(C, p))
+    dominated = dist.family in ("gaussian", "rademacher", "bounded_uniform") or (
+        dist.family == "heavy_tailed" and dist.beta == 1.0  # g |g'|^0 is Gaussian
+    )
+    if not dominated:
+        reports[0] = replace(reports[0], constant_mode=STRUCTURAL)
+    return reports
 
 
 def _max_entry_maxima(C, trials, seed):

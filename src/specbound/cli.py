@@ -7,7 +7,7 @@ declared once, as a ``RunManifest`` field: its annotation gives the key's
 JSON type and, as a ``Literal``, its allowed values, which the flag's
 ``choices`` share.  A value outside them exits 1.
 
-Exit codes: 0 success; 1 parameter/validation error; 2 a mathematical
+Exit codes: 0 success; 1 parameter/validation or usage error; 2 a mathematical
 guarantee or verification failed; 3 an iterative solver did not converge.
 """
 
@@ -65,7 +65,6 @@ class RunManifest:
     matrix_kind: Literal["symmetric", "rectangular"] = "symmetric"
     distribution: str = "gaussian"
     epsilon: float = 0.25
-    beta: Optional[float] = None
     p: Optional[float] = None  # moment half-length (integer) or l_p exponent
     trials: int = 200
     seed: int = 0
@@ -151,8 +150,6 @@ def validate(m):
         distribution_from_code(m.distribution)
     except ParameterError as exc:
         violations.append(str(exc))
-    if m.beta is not None and m.beta <= 0:
-        violations.append("beta must be > 0")
     if m.p is not None and m.p < 1:
         violations.append("p (moment order) must be >= 1")
     if m.tol <= 0:
@@ -203,22 +200,7 @@ def _threads(m):
 
 def _cmd_bounds(m):
     C = _load_matrix(m)
-    dist = distribution_from_code(m.distribution)
-    reports = []
-    if C.kind == "symmetric":
-        reports.append(bounds_mod.bound_main(C, m.epsilon))
-        reports.append(bounds_mod.bound_reference(C, "nck"))
-        reports.append(bounds_mod.bound_reference(C, "gordon"))
-        reports.append(bounds_mod.bound_subgaussian(C, m.epsilon))
-        if C.rows >= 2 and coeffs_mod.structural_params(C).sigma > 0:
-            reports.append(bounds_mod.bound_seginer(C))
-        if dist.family == "rademacher":
-            reports.append(bounds_mod.bound_rademacher(C, m.epsilon))
-        if m.beta is not None:
-            reports.append(bounds_mod.bound_heavy(C, m.beta))
-    reports.append(bounds_mod.bound_rect(C, m.epsilon))
-    if coeffs_mod.structural_params(C).sigma_star > 0:
-        reports.append(bounds_mod.bound_dimfree(C, float(m.p) if m.p else 1.0))
+    reports = bounds_mod.upper_bounds(C, distribution_from_code(m.distribution), m.epsilon, float(m.p) if m.p else 1.0)
     payload = [r.to_json() for r in reports]
     print(_json(payload, indent=2))
     if m.output:
@@ -365,8 +347,8 @@ def _cmd_report(m):
 # name -> (handler, help), in subcommand order; main routes validate itself
 COMMANDS = {
     "bounds": (_cmd_bounds, "closed-form expected-norm bounds: (1+eps){2 sigma + c(eps) sigma* sqrt(log n)}, "
-               "reference curves sigma sqrt(log n) and sigma* sqrt(n), dimension-free and "
-               "Rademacher/split variants"),
+               "reference curves sigma sqrt(log n) and sigma* sqrt(n), dimension-free, split, "
+               "Rademacher and heavy-tailed variants; explicit only where proved for the entry law"),
     "sample": (_cmd_sample, "draw one X_ij = xi_ij b_ij realization and write it as CSV"),
     "norm": (_cmd_norm, "spectral norm of one realization (dense eigensolver or ARPACK Lanczos)"),
     "moments": (_cmd_moments, "exact even-cycle census and the trace-moment comparison "
@@ -402,7 +384,6 @@ def _add_common(sub):
     sub.add_argument("--matrix-kind", dest="matrix_kind", choices=_choices("matrix_kind"))
     sub.add_argument("--distribution", help="gaussian | rademacher | uniform | heavy:<beta>")
     sub.add_argument("--epsilon", type=float, help="accuracy parameter in (0, 1/2]")
-    sub.add_argument("--beta", type=float)
     sub.add_argument("--p", type=float)
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
@@ -411,8 +392,13 @@ def _add_common(sub):
     sub.add_argument("--threads", type=int, help="worker threads; 0 = auto")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as a bad manifest does; 2 is a failed guarantee
+        raise ParameterError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specbound",
         description=(
             "Evaluate sharp nonasymptotic spectral-norm bounds for random "
@@ -458,11 +444,11 @@ def _merge_manifest(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help()
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if not args.command:
+            parser.print_help()
+            return 1
         manifest = _merge_manifest(args)
         if args.command == "validate":
             print(_json(validate(manifest), indent=2))

@@ -290,12 +290,13 @@ def seginer_block_experiment(n_grid, dist, trials, seed, threads=1):
 
 
 def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
-    """Lower bound, MC norm, diagnostics, and all upper bounds.
+    """Lower bound, MC norm, diagnostics, and the upper bounds of ``bounds.upper_bounds``.
 
     Asserted (as report flags, not exceptions): for Gaussian entries, the
     explicit-constant lower bound ``lower_bound_explicit`` sits below the MC
-    mean; for every law, the MC mean
-    stays below every explicit-constant upper bound.  Reported but never
+    mean; the MC mean stays below every upper bound that ``upper_bounds``
+    flags explicit for this law, so main and rect only for laws whose even
+    moments are at most the Gaussian's.  Reported but never
     asserted: the constant-1 structural value sigma + E max|b g|, which
     overshoots E||X|| by sigma_star on diagonal patterns, and the
     max-column-norm ratio, which corresponds to an open conjecture.  Both
@@ -310,22 +311,7 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
     lower = bounds_mod._explicit_lower(C, maxima, trials, seed)
     structural = bounds_mod._structural_lower(C, maxima, trials, seed)
 
-    upper = {}
-    if C.kind == "symmetric":
-        upper["main"] = bounds_mod.bound_main(C, epsilon)
-        upper["nck"] = bounds_mod.bound_reference(C, "nck")
-        upper["gordon"] = bounds_mod.bound_reference(C, "gordon")
-        # an all-zero pattern has neither bound, as in the bounds command
-        if upper["main"].sigma_star > 0:
-            upper["dimfree"] = bounds_mod.bound_dimfree(C, 1.0)
-        if C.rows >= 2 and upper["main"].sigma > 0:
-            upper["seginer"] = bounds_mod.bound_seginer(C)
-        if dist.family == "rademacher":
-            upper["rademacher"] = bounds_mod.bound_rademacher(C, epsilon)
-    else:
-        upper["rect"] = bounds_mod.bound_rect(C, epsilon)
-        if upper["rect"].sigma_star > 0:
-            upper["dimfree"] = bounds_mod.bound_dimfree(C, 1.0)
+    upper = {rep.bound_name: rep for rep in bounds_mod.upper_bounds(C, dist, epsilon)}
 
     failures = []
     combined_se = math.hypot(lower.std_error, norm_est.std_error)

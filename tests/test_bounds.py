@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specbound import bounds, coeffs
+from specbound import bounds, coeffs, sampling
 from specbound.errors import DataError, ParameterError
 
 
@@ -31,6 +31,7 @@ def test_bound_main_examples():
     assert r.constant_mode == "explicit"
 
     assert bounds.bound_main(coeffs.wigner(1), 0.5).value == pytest.approx(3.0)
+    assert bounds.bound_main(coeffs.wigner(1), 0.2).value == pytest.approx(1.2 * 2.0)
     assert bounds.bound_main(coeffs.wigner(1024), 0.1).value == pytest.approx(126.7, abs=0.05)
 
 
@@ -91,16 +92,25 @@ def test_bound_reference_examples():
         bounds.bound_reference(d, "latala")
 
 
-def test_bound_subgaussian_delegates_and_flags():
-    C = coeffs.wigner(1024)
-    sub = bounds.bound_subgaussian(C, 0.1)
-    assert sub.value == pytest.approx(bounds.bound_main(C, 0.1).value)
-    assert sub.constant_mode == "structural"
-    assert sub.note
+def test_upper_bounds_label_main_and_rect_by_law():
+    # main and rect keep their values under every law, and are guarantees only
+    # for laws whose even moments are at most the Gaussian's, E xi^(2k) <= (2k-1)!!
+    dominated = [sampling.GAUSSIAN, sampling.RADEMACHER, sampling.BOUNDED_UNIFORM,
+                 sampling.EntryDistribution("heavy_tailed", beta=1.0)]
+    custom = sampling.EntryDistribution("custom", sampler=lambda rng, size: rng.standard_normal(size))
+    others = [sampling.EntryDistribution("heavy_tailed", beta=3.0), custom]
+    sym = coeffs.wigner(64)
     rect = coeffs.CoefficientMatrix(np.ones((256, 256)), "rectangular")
-    assert bounds.bound_subgaussian(rect, 0.5).value == pytest.approx(75.74, abs=0.01)
-    one = coeffs.wigner(1)
-    assert bounds.bound_subgaussian(one, 0.2).value == pytest.approx(1.2 * 2.0)
+    for mode, laws in (("explicit", dominated), ("structural", others)):
+        for dist in laws:
+            for C, direct in ((sym, bounds.bound_main(sym, 0.1)), (rect, bounds.bound_rect(rect, 0.5))):
+                first = bounds.upper_bounds(C, dist, direct.epsilon_or_alpha)[0]
+                assert (first.bound_name, first.value) == (direct.bound_name, direct.value)
+                assert first.constant_mode == mode
+    for dist in dominated:
+        for k in range(1, 9):
+            assert sampling.distribution_moment(dist, 2 * k) <= math.prod(range(2 * k - 1, 0, -2)) * (1 + 1e-12)
+    assert sampling.distribution_moment(others[0], 4) > 3  # normalized 4th moment 35.0
 
 
 def test_bound_heavy():

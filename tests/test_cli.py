@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -81,16 +82,52 @@ def test_alpha_is_an_unknown_key(tmp_path, capsys):
         code, out, err = run_cli(capsys, "bounds", "--manifest", str(path))
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "ParameterError", "message": message}
-    with pytest.raises(SystemExit):
-        main(["bounds", "--pattern", "wigner:8", "--alpha", "4"])
-    assert "unrecognized arguments: --alpha 4" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "bounds", "--pattern", "wigner:8", "--alpha", "4")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": "unrecognized arguments: --alpha 4"}
+
+
+def test_beta_is_no_flag_and_no_manifest_key(tmp_path, capsys):
+    # the heavy law carries its own beta, heavy:<beta>
+    code, out, err = run_cli(capsys, "bounds", "--pattern", "wigner:8", "--beta", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": "unrecognized arguments: --beta 3"}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": "bounds", "pattern": "wigner:8", "beta": 3.0}))
+    code, out, err = run_cli(capsys, "bounds", "--manifest", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": "unknown manifest keys: ['beta']"}
+
+
+def test_usage_errors_exit_1_with_a_json_error(capsys):
+    # exit 2 is kept for a failed guarantee
+    for argv, message in [
+        (["bounds", "--pattern", "wigner:8", "--matrix-format", "Sparse"],
+         "argument --matrix-format: invalid choice: 'Sparse' (choose from 'dense', 'sparse')"),
+        (["bounds", "--pattern", "wigner:8", "--trials", "many"], "argument --trials: invalid int value: 'many'"),
+        (["bound", "--pattern", "wigner:8"], "argument command: invalid choice: 'bound' (choose from "),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError" and payload["message"].startswith(message)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--help"])
+    assert exc.value.code == 0
+
+
+def test_every_flag_is_a_manifest_key():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for p in [parser, *commands.choices.values()] for a in p._actions}
+    assert dests - {"help", "manifest"} == {f.name for f in dataclasses.fields(RunManifest)}
 
 
 def test_manifest_round_trips_through_a_dict():
     defaults = RunManifest(command="bounds")
     m = RunManifest(
         command="phase", pattern="band", matrix_file="m.csv", matrix_format="sparse", matrix_kind="rectangular",
-        distribution="rademacher", epsilon=0.1, beta=2.0, p=3.0, trials=7, seed=5, tol=1e-6, output="o.csv",
+        distribution="rademacher", epsilon=0.1, p=3.0, trials=7, seed=5, tol=1e-6, output="o.csv",
         threads=2, n_grid=[64, 128], k_rule="const:3", t_grid=[0.5, 1.5], moments_action="verify",
         band_variant="truncated",
     )
@@ -121,8 +158,33 @@ def test_cli_bounds_wigner(capsys):
     main_bound = next(r for r in payload if r["bound_name"] == "main")
     assert main_bound["value"] == pytest.approx(126.7, abs=0.05)
     assert main_bound["sigma"] == 32.0
-    names = {r["bound_name"] for r in payload}
-    assert {"main", "nck", "gordon", "rect", "dimfree"} <= names
+    # a symmetric pattern gets no rect bound, and Gaussian entries no rademacher or heavy one
+    assert [r["bound_name"] for r in payload] == ["main", "nck", "gordon", "seginer", "dimfree"]
+    assert main_bound["constant_mode"] == "explicit"
+
+
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "uniform", "heavy:1", "heavy:3"])
+def test_bounds_and_report_list_the_same_bounds(tmp_path, capsys, law):
+    rect = tmp_path / "rect.csv"
+    rect.write_text("1,2,0\n0,1,3\n")
+    zero = tmp_path / "zero.csv"
+    zero.write_text("0,0\n0,0\n")
+    for source in (["--pattern", "wigner:16"], ["--pattern", "band:64,2"],
+                   ["--matrix-file", str(rect), "--matrix-kind", "rectangular"], ["--matrix-file", str(zero)]):
+        code, out, _ = run_cli(capsys, "bounds", *source, "--distribution", law)
+        assert code == 0
+        listed = {r["bound_name"]: r for r in json.loads(out)}
+        code, out, _ = run_cli(capsys, "report", *source, "--distribution", law, "--trials", "5", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["upper_bounds"] == listed
+
+
+def test_cli_bounds_lists_heavy_at_the_laws_beta(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--pattern", "band:64,2", "--distribution", "heavy:3")
+    assert code == 0
+    payload = {r["bound_name"]: r for r in json.loads(out)}
+    assert payload["heavy"] == bounds.bound_heavy(parse_pattern("band:64,2"), 3.0).to_json()
+    assert payload["main"]["constant_mode"] == "structural"
 
 
 def test_cli_moments_verify(capsys):
@@ -309,6 +371,20 @@ def test_cli_report_guarantee_failure_exit_code(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["ok"] is False and payload["failures"]
     assert json.loads(err)["error"] == "GuaranteeError"
+
+
+def test_cli_report_leaves_main_unasserted_for_heavy_entries(capsys, monkeypatch):
+    # main is proved for laws with at most Gaussian even moments; heavy:3 has a 4th moment of 35
+    real = bounds.bound_main
+    monkeypatch.setattr(bounds, "bound_main", lambda C, eps: dataclasses.replace(real(C, eps), value=0.5))
+    code, out, _ = run_cli(
+        capsys, "report", "--pattern", "wigner:32", "--distribution", "heavy:3", "--trials", "10", "--seed", "2"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["upper_bounds"]["main"] == {**real(parse_pattern("wigner:32"), 0.25).to_json(),
+                                               "value": 0.5, "constant_mode": "structural"}
 
 
 @pytest.mark.parametrize("partial, best", [([-2.5], 2.5), ([0.0], 0.0), ([], None)])
