@@ -152,6 +152,9 @@ def validate(m):
         violations.append(str(exc))
     if m.p is not None and m.p < 1:
         violations.append("p (moment order) must be >= 1")
+    elif m.command == "bounds" and m.p is not None and m.p >= 2:
+        # bounds reads p as the l_p exponent of its dimension-free row
+        violations.append(f"p must be in [1, 2), got {float(m.p)}")
     if m.tol <= 0:
         violations.append("tol must be > 0")
     if m.trials < 1:

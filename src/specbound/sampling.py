@@ -322,59 +322,53 @@ def _banded_plan(C):
     """The plan (size, b, gather, holes, wrap) of C's banded layout, or None.
 
     A banded layout is kept for the d distinct cyclic offsets of C's
-    nonzeros in (-n/2, n/2], ascending from lo to hi.  ``gather``
-    (d x (n + hi - lo), int32 where the ranks fit) maps the slot of entry
-    (i, (i + s) mod n), row k of offset s and column i + s - lo, to its
+    nonzeros in (-n/2, n/2], ascending from lo to hi, and stores the
+    diagonals s >= 0 only (see ``specnorm.BandedMatrix``).  ``gather``
+    (one row of n per stored offset, int32 where the ranks fit) maps the
+    slot of entry (i, (i + s) mod n), row k of offset s and column i, to its
     variate's rank in the contract order; ``holes`` lists the flat slots
     that hold no entry (they read variate 0).  ``wrap`` makes the
     ``specnorm.BandedMatrix`` on the offsets.
 
     Upper entries (j >= i) take their ranks in one pass over the CSR in
-    blocks.  Diagonal -s holds at row i the mirror of diagonal s at row
-    i - s mod n, so each lower entry then takes the rank of its mirror by
-    ``np.roll`` of the partner diagonal (offset n/2 is its own partner).
-    The compile holds the gather and block-sized temporaries, and no
-    nnz-sized array besides.
+    blocks.  Each rank goes to whichever of the slots (i, j) and (j, i) lies
+    on a stored diagonal: (i, j) when j - i <= n/2, (j, i) when
+    j - i >= n/2, both at offset n/2.  The compile holds the gather and
+    block-sized temporaries, and no nnz-sized array besides.
     """
     if not (C.is_sparse and C.kind == "symmetric" and C.nnz):
         return None
     A = C.data
     n = A.shape[0]
+    half = n // 2
     present = np.zeros(n, dtype=bool)
     for _, i, j in _row_blocks(A):
         present[(j - i) % n] = True
     cyclic = np.flatnonzero(present)
-    offsets = np.concatenate([cyclic[cyclic > n // 2] - n, cyclic[cyclic <= n // 2]])
-    lo, hi, d = int(offsets[0]), int(offsets[-1]), offsets.shape[0]
-    width = n + hi - lo
-    if d * width > _BANDED_FILL * A.nnz:
+    stored = cyclic[cyclic <= half]
+    offsets = np.concatenate([cyclic[cyclic > half] - n, stored])
+    if offsets.shape[0] * (n + int(offsets[-1] - offsets[0])) > _BANDED_FILL * A.nnz:
         return None
-    row_of = np.empty(n, dtype=np.intp)  # gather row of each offset mod n
-    row_of[offsets % n] = np.arange(d)
+    row_of = np.empty(half + 1, dtype=np.intp)  # gather row of each stored offset
+    row_of[stored] = np.arange(stored.shape[0])
     upper = (A.nnz + np.count_nonzero(A.diagonal())) // 2
-    gather = np.full((d, width), -1, dtype=np.int32 if upper < 2**31 else np.intp)
+    gather = np.full((stored.shape[0], n), -1, dtype=np.int32 if upper < 2**31 else np.intp)
     flat = gather.reshape(-1)
     unit = A.data.min() == A.data.max() == 1.0
     b = None if unit else np.empty(upper)
     size = 0
     for a, i, j in _row_blocks(A):
         up = j >= i
-        i = i[up]
-        s = j[up] - i
-        k = row_of[s]
-        s[s > n // 2] -= n
-        s += i - lo  # the slot's column
-        flat[k * width + s] = np.arange(size, size + k.shape[0], dtype=gather.dtype)
+        i, j = i[up], j[up]
+        ranks = np.arange(size, size + i.shape[0], dtype=gather.dtype)
+        s = j - i
+        mine = s <= half  # slot (i, j) on diagonal s
+        flat[row_of[s[mine]] * n + i[mine]] = ranks[mine]
+        theirs = s >= n - half  # slot (j, i) on diagonal n - s
+        flat[row_of[n - s[theirs]] * n + j[theirs]] = ranks[theirs]
         if b is not None:
-            b[size : size + k.shape[0]] = A.data[a : a + up.shape[0]][up]
-        size += k.shape[0]
-    for s in offsets[offsets > 0].tolist():
-        plus = gather[row_of[s], s - lo : s - lo + n]
-        mirror = offsets[row_of[-s % n]]
-        minus = gather[row_of[-s % n], mirror - lo : mirror - lo + n]
-        from_plus, from_minus = np.roll(plus, s), np.roll(minus, -s)
-        np.maximum(minus, from_plus, out=minus)
-        np.maximum(plus, from_minus, out=plus)
+            b[size : size + i.shape[0]] = A.data[a : a + up.shape[0]][up]
+        size += i.shape[0]
     holes = np.flatnonzero(flat < 0)
     flat[holes] = 0
     return size, b, gather, holes, lambda vals: BandedMatrix(vals, offsets)

@@ -17,9 +17,14 @@ samples at tol 1e-4 and 1e-5 both precisions took the same matvec counts
 and reached the same true residuals, while at 3e-6 the float32 residual
 overshot tol (1.1 x tol against 0.99 x tol in float64), hence the cut at
 1e-5.  The iteration uses a float32 copy of the input's values over its
-own index arrays, or its own offsets for banded input, whose DIA matvec
-reads no column index per value (0.58 ms against 1.46 ms for CSR on a
-band_cyclic(2^14, 46) sample).  An input whose largest entry lies outside
+own index arrays, or for banded input the float32 layout of all its
+diagonals, whose DIA matvec reads no column index per value (0.58 ms
+against 1.46 ms for CSR on a band_cyclic(2^14, 46) sample).  A banded
+matrix stores only its diagonals s >= 0 in float64, each -s being the
+mirror of s; its own float64 matvec and row sums read -s from s and add in
+the order of scipy's DIA matvec on the full layout, so they equal it bit
+for bit (1.5 ms against 0.8 ms on that sample, once per solve).  An input
+whose largest entry lies outside
 [2^-64, 2^64] is first scaled by a power of two, so no magnitude
 representable in float64 overflows float32 or flushes to zero.
 Dense input keeps the float64 operator at every tol: its O(n^2) matvec
@@ -171,43 +176,96 @@ class NormResult:
 
 
 class BandedMatrix:
-    """A symmetric n x n matrix stored on its cyclic diagonals.
+    """A symmetric n x n matrix stored on its cyclic diagonals s >= 0.
 
-    Row k of ``data`` (d x W, W = n + hi - lo) holds the diagonal
-    ``offsets[k]`` = s = (j - i) mod n, taken in (-n/2, n/2] and ascending
-    from lo to hi: entry (i, (i + s) mod n) sits at column i + s - lo, and
-    every other slot holds 0.  That is the n x W ``dia_array`` ``ext``
-    (diagonal s at offset s - lo), and X @ x = ext @ x[wrap] with
-    wrap[c] = (c + lo) mod n.  So the wrapped entries of a cyclic band take
-    W - n columns, not a diagonal of length n each.  The matrix is symmetric
-    by construction (``sampling.trial_sample`` makes it); nothing checks it.
+    ``offsets`` lists the d distinct cyclic offsets s = (j - i) mod n of its
+    entries, taken in (-n/2, n/2] and ascending from lo to hi.  ``data``
+    holds one row of length n per offset s >= 0, the last rows of
+    ``offsets``: entry (i, (i + s) mod n) at column i.  Diagonal -s is the
+    mirror of diagonal s, X[i, i - s] = X[i - s, i], so it is not stored.
+    The matrix is symmetric by construction (``sampling.trial_sample``
+    makes it); nothing checks it.
+
+    ``full`` lays out all d diagonals.  ``X @ x`` and ``row_col_sumsq`` sum
+    over that layout, in its order, without laying it out.
     """
 
     def __init__(self, data, offsets):
-        import scipy.sparse as sp
-
-        lo, width = int(offsets[0]), data.shape[1]
-        n = width - (int(offsets[-1]) - lo)
-        self.offsets = offsets
-        self.ext = sp.dia_array((data, offsets - lo), shape=(n, width))
-        self.wrap = np.arange(lo, lo + width)
-        self.wrap %= n
+        lo, n = int(offsets[0]), data.shape[1]
+        self.data, self.offsets = data, offsets
         self.shape = (n, n)
+        # x index of each column of the full layout
+        self.wrap = np.arange(lo, n + int(offsets[-1]))
+        self.wrap %= n
 
-    @property
-    def data(self):
-        return self.ext.data
+    def _stored(self):
+        """(s, row of ``data`` holding diagonal |s|) for each offset, ascending."""
+        first = self.offsets.shape[0] - self.data.shape[0]
+        rows = np.searchsorted(self.offsets, np.abs(self.offsets)) - first
+        return zip(self.offsets.tolist(), rows.tolist())
+
+    def full(self, dtype=np.float64, scale=1.0):
+        """The d x W layout (W = n + hi - lo) of the values times ``scale``.
+
+        Row k holds the diagonal ``offsets[k]`` = s, entry (i, (i + s) mod n)
+        at column i + s - lo, and 0 in every other slot.  That is the n x W
+        ``dia_array`` ext (diagonal s at offset s - lo), and X @ x =
+        ext @ x[wrap].  So the wrapped entries of a cyclic band take W - n
+        columns, not a diagonal of length n each.
+        """
+        n, lo = self.shape[0], int(self.offsets[0])
+        out = np.zeros((self.offsets.shape[0], self.wrap.shape[0]), dtype)
+        for (s, r), line in zip(self._stored(), out):
+            window, row = line[s - lo : s - lo + n], self.data[r]
+            if scale != 1.0:
+                row = row * scale  # in float64, then cast as it is copied
+            t = max(-s, 0)  # the row of -s is the row of s rolled by s
+            window[t:] = row[: n - t]
+            window[:t] = row[n - t :]
+        return out
+
+    def _sum(self, rows, x):
+        """y[i] = sum_s rows[s][i] x[(i + s) mod n] over every offset s,
+        ascending, the row of -s read from the row of s.
+
+        Bit for bit scipy's DIA matvec of the full layout, which adds each
+        row's terms to 0.0 in offset order and reads no slot outside the
+        diagonals' windows.
+        """
+        n, lo = self.shape[0], int(self.offsets[0])
+        xw = x[self.wrap]
+        y = np.zeros(n)
+        for s, r in self._stored():
+            if s >= 0:
+                y += rows[r] * xw[s - lo : s - lo + n]
+            else:
+                # X[i, i + s] x[i + s] = X[i + s, i] x[i + s]: (row |s| * x) rolled by |s|
+                p = rows[r] * x
+                y[-s:] += p[: n + s]
+                y[:-s] += p[n + s :]
+        return y
 
     def __matmul__(self, x):
-        return self.ext @ x[self.wrap]
+        return self._sum(self.data, x)
+
+    def _ext(self, dtype=np.float64, scale=1.0):
+        import scipy.sparse as sp
+
+        shape = (self.shape[0], self.wrap.shape[0])
+        return sp.dia_array((self.full(dtype, scale), self.offsets - self.offsets[0]), shape=shape)
+
+    def operator(self, dtype=np.float64, scale=1.0):
+        """x -> (scale * X) @ x by scipy's DIA matvec of ``full(dtype, scale)``."""
+        ext, wrap = self._ext(dtype, scale), self.wrap
+        return lambda x: ext @ x[wrap]
 
     def tocsr(self):
         """The matrix as a canonical CSR of its nonzeros."""
         import scipy.sparse as sp
 
-        n, width = self.ext.shape
+        n, width = self.shape[0], self.wrap.shape[0]
         fold = sp.csr_array((np.ones(width), self.wrap, np.arange(width + 1)), shape=(width, n))
-        X = self.ext.tocsr() @ fold  # one nonzero term per entry: exact
+        X = self._ext().tocsr() @ fold  # one nonzero term per entry: exact
         X.sort_indices()
         return X
 
@@ -337,21 +395,22 @@ def _arpack_norm(M, symmetric, tol, peak):
         scale, dtype, matvec = 1.0, np.float64, exact
     else:
         # float32 values over the input's own structure: its CSR index
-        # arrays, or its banded offsets.  A peak outside [2^-64, 2^64] is
+        # arrays, or its banded full layout.  A peak outside [2^-64, 2^64] is
         # first scaled by the power of two that puts it in [0.5, 1): exactly,
         # and so that values, matvecs and Lanczos coefficients (at most
         # 2^31 * peak) stay inside float32's range.  Inputs of ordinary
         # magnitude iterate on their own values.
         e = math.frexp(peak)[1]
         scale = math.ldexp(1.0, -e) if abs(e) > 64 else 1.0
-        dtype, Y = np.float32, X if banded else X.tocsr()
-        values = np.empty(Y.data.shape, dtype)
-        np.multiply(Y.data, scale, out=values, casting="same_kind")
+        dtype = np.float32
         if banded:
-            matvec = matvec_of(BandedMatrix(values, Y.offsets))
+            matvec = X.operator(dtype, scale)
         else:
+            Y = X.tocsr()
+            values = np.empty(Y.data.shape, dtype)
+            np.multiply(Y.data, scale, out=values, casting="same_kind")
             matvec = matvec_of(sp.csr_array((values, Y.indices, Y.indptr), shape=Y.shape))
-        del Y, values
+            del Y, values
 
     calls = 0
 
@@ -391,7 +450,8 @@ def row_col_sumsq(M):
     takes one pass over its rows, in offset order: column order wherever no
     offset wraps around.  Dense sums keep numpy's order."""
     if isinstance(M, BandedMatrix):
-        rows = M.ext.power(2).sum(axis=1)
+        # scipy sums a DIA row as the matvec of the squares with ones
+        rows = M._sum(M.data * M.data, np.ones(M.shape[0]))
         return rows, rows
     if _issparse(M):
         import scipy.sparse as sp

@@ -445,6 +445,24 @@ def test_validate_refuses_a_phase_pattern_other_than_band_or_regular_random(tmp_
     assert json.loads(err) == {"error": "ParameterError", "message": message}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_validate_refuses_a_bounds_p_outside_the_dimfree_range(tmp_path, capsys, p):
+    # bounds reads p as the l_p exponent of its dimension-free row, which needs 1 <= p < 2
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"command": "bounds", "pattern": "wigner:8", "p": p}))
+    message = f"p must be in [1, 2), got {float(p)}"
+    code, out, _ = run_cli(capsys, "validate", "--manifest", str(path))
+    assert code == 0
+    assert json.loads(out) == {"command": "bounds", "valid": False, "violations": [message]}
+    code, out, err = run_cli(capsys, "bounds", "--manifest", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+    # p = 1.5 is a valid exponent; moments reads p as a half-length, where 3 is valid
+    path.write_text(json.dumps({"command": "bounds", "pattern": "wigner:8", "p": 1.5}))
+    assert run_cli(capsys, "bounds", "--manifest", str(path))[0] == 0
+    assert validate(RunManifest(command="moments", p=3))["valid"]
+
+
 @pytest.mark.parametrize("spec", ["band:abc", "band:5", "band:5,2,7", "wigner:x"])
 def test_cli_malformed_pattern_spec(capsys, spec):
     code, out, err = run_cli(capsys, "bounds", "--pattern", spec)

@@ -411,9 +411,13 @@ def test_banded_sample_equals_the_csr_sample(build):
             X = sample_matrix(C, dist, seed)
             B = sampling.trial_sample(C, dist, seed)
             assert isinstance(B, specnorm.BandedMatrix)
-            # bitwise, slot by slot, and as a CSR
+            # bitwise, slot by slot, and as a CSR; only the diagonals s >= 0
+            # are stored, each one's window of the full layout
             want = _banded_reference(X, B.offsets)
-            assert np.array_equal(B.data.view(np.int64), want.view(np.int64))
+            assert np.array_equal(B.full().view(np.int64), want.view(np.int64))
+            n, lo = B.shape[0], int(B.offsets[0])
+            stored = [want[k, s - lo : s - lo + n] for k, s in enumerate(B.offsets.tolist()) if s >= 0]
+            assert np.array_equal(B.data.view(np.int64), np.array(stored).view(np.int64))
             Y = B.tocsr()
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(Y, name), getattr(X, name)), name
@@ -437,6 +441,25 @@ def test_banded_max_row_norm_matches_the_csr_sample(name):
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("name", BANDED_BUILDS)
+def test_banded_sums_equal_scipy_dia_on_the_full_layout(name):
+    # B @ x and the row sums read each diagonal -s from the stored row of s,
+    # and still add each row's terms in the order of scipy's DIA matvec on
+    # the full layout: bit for bit, on truncated bands (holes inside the
+    # windows) and at offset n/2 too
+    C = BANDED_BUILDS[name]()
+    rng = np.random.default_rng(5)
+    for t in range(3):
+        B = sampling.trial_sample(C, GAUSSIAN, SeedSpec(6, t))
+        ext = sp.dia_array((B.full(), B.offsets - B.offsets[0]), shape=(B.shape[0], B.wrap.shape[0]))
+        x = rng.standard_normal(B.shape[0])
+        assert np.array_equal((B @ x).view(np.int64), (ext @ x[B.wrap]).view(np.int64))
+        assert specnorm.max_row_norm(B) == math.sqrt(ext.power(2).sum(axis=1).max())
+        # the float32 layout casts the scaled float64 layout
+        single = B.full(np.float32, 2.0**-70)
+        assert np.array_equal(single, (B.full() * 2.0**-70).astype(np.float32))
 
 
 def test_banded_max_row_norm_makes_no_csr_copy(monkeypatch):
@@ -575,6 +598,22 @@ def test_sample_peak_memory():
     assert isinstance(B, specnorm.BandedMatrix)
     assert peak <= 8 * size + B.data.nbytes + B.wrap.nbytes + 2**16 + 2**14
 
+
+
+def test_banded_solve_peak_memory():
+    # a banded trial holds its diagonals s >= 0 in float64; its solve adds
+    # the full layout in float32 and ARPACK's own arrays, the n x 20 float32
+    # basis and its workspace (743 KB at n = 4096, 2.3 basis sizes)
+    C = coeffs.band_cyclic.__wrapped__(2**12, 20)
+    n, d, stored, width = 2**12, 41, 21, 2**12 + 40
+
+    def solve(t):
+        return specnorm.spectral_norm(sampling.trial_sample(C, GAUSSIAN, SeedSpec(4, t)), tol=1e-4)
+
+    solve(0)  # compiles the banded layout and sets up ARPACK
+    r, peak = traced_peak(lambda: solve(1))
+    assert r.method == "lanczos"
+    assert peak <= 8 * stored * n + 4 * d * width + 2.5 * 4 * 20 * n + 2**16
 
 
 def test_report_temporaries_peak_memory():
