@@ -180,9 +180,9 @@ class BandedMatrix:
 
     ``offsets`` lists the d distinct cyclic offsets s = (j - i) mod n of its
     entries, taken in (-n/2, n/2] and ascending from lo to hi.  ``data``
-    holds one row of length n per offset s >= 0, the last rows of
-    ``offsets``: entry (i, (i + s) mod n) at column i.  Diagonal -s is the
-    mirror of diagonal s, X[i, i - s] = X[i - s, i], so it is not stored.
+    holds one row of length n for each offset s >= 0, in that order: entry
+    (i, (i + s) mod n) at column i.  Diagonal -s is the mirror of diagonal
+    s, X[i, i - s] = X[i - s, i], so it is not stored.
     The matrix is symmetric by construction (``sampling.trial_sample``
     makes it); nothing checks it.
 
@@ -254,7 +254,7 @@ class BandedMatrix:
         shape = (self.shape[0], self.wrap.shape[0])
         return sp.dia_array((self.full(dtype, scale), self.offsets - self.offsets[0]), shape=shape)
 
-    def operator(self, dtype=np.float64, scale=1.0):
+    def operator(self, dtype, scale):
         """x -> (scale * X) @ x by scipy's DIA matvec of ``full(dtype, scale)``."""
         ext, wrap = self._ext(dtype, scale), self.wrap
         return lambda x: ext @ x[wrap]
