@@ -1,7 +1,23 @@
 """Sharp nonasymptotic spectral-norm bounds for random matrices with
 independent entries: bound evaluation, exact trace-moment verification,
 reproducible sampling, and Monte Carlo experiments.
+
+Importing specbound before numpy makes one BLAS thread the load-time
+default: unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS
+is set, it sets OPENBLAS_NUM_THREADS=1, so neither bundled OpenBLAS (numpy's,
+scipy's) starts worker threads that would only spin, since every trial runs
+on one BLAS thread anyway (``specnorm._single_blas_thread``).  Child
+processes inherit the variable.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules and not {
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del os, sys
 
 from .coeffs import (
     CoefficientMatrix,

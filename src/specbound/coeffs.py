@@ -4,7 +4,8 @@ A CoefficientMatrix holds the deterministic scalars that multiply the random
 entries.  Patterns below a 5% fill are kept in CSR form so that band matrices
 at n = 1e5 stay affordable; everything else is a dense array.  scipy.sparse
 is imported by the code that builds or reads a CSR, so a process whose
-patterns are all dense (wigner, a dense file) never loads it.  A CSR pattern
+patterns are all dense (wigner, a dense file, any pattern that a builder
+counts at 5% fill or more before it builds) never loads it.  A CSR pattern
 stores exactly its nonzeros, so that every storage draws one variate per
 nonzero coefficient (see ``sampling``).  A pattern owns
 its storage and every buffer of it is read-only (a CSR's data, indices and
@@ -205,19 +206,22 @@ def _mirrored_exactly(data, sym_tol):
     return _canonical_csr(mirrored)
 
 
+def _sparse_fill(nnz, n, m):
+    """True when ``nnz`` entries fill less than the threshold of an n x m
+    pattern, which is then stored as CSR; a denser one is built with numpy
+    alone, so that it never imports scipy.sparse."""
+    return nnz < SPARSE_FILL_THRESHOLD * n * m
+
+
 def _pack(rows, cols, vals, n, m, kind):
     """Store triples as CSR below the fill threshold, dense otherwise."""
+    if not _sparse_fill(len(vals), n, m):
+        A = np.zeros((n, m))
+        np.add.at(A, (rows, cols), vals)  # 0.0 + v per slot, as the CSR's toarray
+        return CoefficientMatrix(A, kind)
     import scipy.sparse as sp
 
-    return _store(sp.coo_array((vals, (rows, cols)), shape=(n, m)).tocsr(), len(vals), kind)
-
-
-def _store(mat, nnz, kind):
-    """Keep a CSR pattern of ``nnz`` entries sparse below the fill threshold."""
-    n, m = mat.shape
-    if nnz < SPARSE_FILL_THRESHOLD * n * m:
-        return CoefficientMatrix(mat, kind)
-    return CoefficientMatrix(mat.toarray(), kind)
+    return CoefficientMatrix(sp.coo_array((vals, (rows, cols)), shape=(n, m)).tocsr(), kind)
 
 
 # (builder, (type, value) of each argument) -> the live pattern it built
@@ -266,9 +270,16 @@ def wigner(n):
 def diagonal(n):
     """Identity pattern."""
     n = _check_dim(n)
+    if not _sparse_fill(n, n, n):
+        return CoefficientMatrix(np.eye(n, dtype=bool), "symmetric")
     import scipy.sparse as sp
 
-    return _store(sp.eye_array(n, format="csr"), n, "symmetric")
+    return CoefficientMatrix(sp.eye_array(n, format="csr"), "symmetric")
+
+
+def _band_mask(n, k):
+    """|i - j| <= k as an n x n bool array: j - i <= k, minus j - i <= -k - 1."""
+    return np.tri(n, k=k, dtype=bool) ^ np.tri(n, k=-k - 1, dtype=bool)
 
 
 @_interned
@@ -277,11 +288,13 @@ def band(n, k):
     n = _check_dim(n)
     if not 0 <= k < n:
         raise ParameterError(f"band requires 0 <= k < n, got k={k}, n={n}")
+    k = int(k)
+    if not _sparse_fill((2 * k + 1) * n - k * (k + 1), n, n):
+        return CoefficientMatrix(_band_mask(n, k), "symmetric")
     import scipy.sparse as sp
 
-    k = int(k)
     mat = sp.diags_array([1.0] * (2 * k + 1), offsets=range(-k, k + 1), shape=(n, n), format="csr")
-    return _store(mat, mat.nnz, "symmetric")
+    return CoefficientMatrix(mat, "symmetric")
 
 
 @_interned
@@ -295,10 +308,16 @@ def band_cyclic(n, k):
     n = _check_dim(n)
     if not 0 <= k < n or 2 * int(k) + 1 > n:
         raise ParameterError(f"band_cyclic requires 0 <= 2k+1 <= n, got k={k}, n={n}")
-    import scipy.sparse as sp
-
     k = int(k)
     w = 2 * k + 1
+    if not _sparse_fill(n * w, n, n):
+        # |j - i| <= k, j - i >= n - k, i - j >= n - k; disjoint since w <= n
+        near = _band_mask(n, k)
+        near |= ~np.tri(n, k=n - k - 1, dtype=bool)
+        near |= np.tri(n, k=k - n, dtype=bool)
+        return CoefficientMatrix(near, "symmetric")
+    import scipy.sparse as sp
+
     # row i holds columns i-k .. i+k mod n, distinct since w <= n; with
     # indptr and cols both in the pattern's index width, the CSR and the
     # pattern take cols without a copy
@@ -307,7 +326,7 @@ def band_cyclic(n, k):
     cols %= n
     cols.sort(axis=1)
     mat = sp.csr_array((np.ones(n * w), cols.ravel(), np.arange(0, n * w + 1, w, dtype=idx)), shape=(n, n))
-    return _store(mat, n * w, "symmetric")
+    return CoefficientMatrix(mat, "symmetric")
 
 
 @_interned
@@ -317,10 +336,13 @@ def block_diagonal(n, k):
     k = _check_dim(k)
     if n % k != 0:
         raise ParameterError(f"block_diagonal requires k | n, got n={n}, k={k}")
+    if not _sparse_fill(n * k, n, n):
+        block = np.arange(n) // k
+        return CoefficientMatrix(block[:, None] == block, "symmetric")
     import scipy.sparse as sp
 
     # I_(n/k) (x) J_k
-    return _store(sp.kron(sp.eye_array(n // k), np.ones((k, k)), format="csr"), n * k, "symmetric")
+    return CoefficientMatrix(sp.kron(sp.eye_array(n // k), np.ones((k, k)), format="csr"), "symmetric")
 
 
 @_interned
@@ -339,13 +361,15 @@ def log_decay_diagonal(n):
     of the rest of the diagonal.
     """
     n = _check_dim(n)
-    import scipy.sparse as sp
-
     i = np.arange(1, n + 1, dtype=float)
     vals = np.ones(n)
     if n > 1:
         vals[1:] = np.minimum(1.0, 1.0 / np.sqrt(np.log(i[1:])))
-    return _store(sp.diags_array(vals, format="csr"), n, "symmetric")
+    if not _sparse_fill(n, n, n):
+        return CoefficientMatrix(np.diag(vals), "symmetric")
+    import scipy.sparse as sp
+
+    return CoefficientMatrix(sp.diags_array(vals, format="csr"), "symmetric")
 
 
 def from_adjacency(path):

@@ -41,8 +41,11 @@ An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
 basis gains nothing from a second OpenBLAS thread, which mostly spins.
 ``_single_blas_thread`` is the pin; the Monte Carlo layer takes it around
 every trial loop and the single solves behind its output, so dense LAPACK
-results there do not depend on the BLAS thread count.  A dense LAPACK
-solve called directly keeps the process's BLAS threads.
+results there do not depend on the BLAS thread count.  The pin covers
+processes that set a BLAS thread count or imported numpy before
+specbound; any other process loads OpenBLAS with one thread (see the
+package docstring), so a dense LAPACK solve called directly runs on one
+thread there too, and on the process's BLAS threads otherwise.
 """
 
 from __future__ import annotations

@@ -12,14 +12,19 @@ def fresh_python():
     """Run ``python *args`` in a fresh interpreter that imports specbound from src/.
 
     ``env`` entries override the inherited environment (OpenBLAS thread
-    counts, say).  Returns the CompletedProcess with text stdout/stderr;
-    a nonzero exit fails the test with the child's stderr.
+    counts, say), and an entry of ``None`` removes that variable.  Returns
+    the CompletedProcess with text stdout/stderr; a nonzero exit fails the
+    test with the child's stderr.
     """
 
     def run(*args, env=None, timeout=120):
         child_env = dict(os.environ)
         child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        child_env.update(env or {})
+        for name, value in (env or {}).items():
+            if value is None:
+                child_env.pop(name, None)
+            else:
+                child_env[name] = value
         proc = subprocess.run(
             [sys.executable, *args], env=child_env, capture_output=True, text=True, timeout=timeout
         )

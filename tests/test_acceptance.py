@@ -163,6 +163,29 @@ def test_criterion_07_phase_transition():
     assert ok, (ra, rb)
 
 
+def test_sparse_wigner_phase_transition():
+    """Criterion 7's windows on the random k-regular pattern, the paper's
+    sparse Wigner application, at n = 2^12.  Pilot runs (ratio_mean, log_sq
+    then const:3) at seed pairs (1, 2), (0xA1, 0xA2), (0xBEEF, 0xBEF0),
+    (777, 778) and (31337, 31338) gave 2.0109-2.0156 and 2.7183-2.7531."""
+    grid_a = experiments.phase_scan(
+        "regular_random", [2**12], "log_sq", GAUSSIAN, trials=8, seed=0x714A, tol=1e-4
+    )
+    ra = grid_a.rows[0]["ratio_mean"]
+    grid_b = experiments.phase_scan(
+        "regular_random", [2**12], "const:3", GAUSSIAN, trials=100, seed=0x714B, tol=1e-4
+    )
+    rb = grid_b.rows[0]["ratio_mean"]
+    ok = 1.85 <= ra <= 2.15 and rb >= 2.4
+    _line(
+        "7 (sparse Wigner)",
+        ok,
+        f"n=2^12 regular_random: log_sq (k={grid_a.rows[0]['k']}) ratio {ra:.4f} in [1.85, 2.15]; "
+        f"k={grid_b.rows[0]['k']} ratio {rb:.4f} >= 2.4",
+    )
+    assert ok, (ra, rb)
+
+
 def test_criterion_08_tail_domination():
     C = coeffs.wigner(128)
     trials = 2000

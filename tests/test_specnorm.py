@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 import threading
@@ -605,19 +606,82 @@ cli.main(["bounds", "--pattern", "wigner:64"])
 seen["bounds"] = loaded()
 cli.main(["report", "--matrix-file", sys.argv[1], "--trials", "4"])
 seen["dense file"] = loaded()
+for name, *args in json.loads(sys.argv[2]):
+    seen[name] = [getattr(sb, name)(*args).is_sparse, loaded()]
 sb.band_cyclic(64, 1)
 seen["band_cyclic"] = loaded()
 print(json.dumps(seen))
 """
 
+# builders' patterns that the 5% fill switch stores dense
+_SMALL_DENSE_PATTERNS = [
+    ("band", 50, 2), ("diagonal", 2), ("block_diagonal", 64, 8),
+    ("band_cyclic", 20, 2), ("log_decay_diagonal", 10), ("single_entry", 4),
+]
 
-def test_dense_runs_never_import_scipy_sparse(fresh_python, tmp_path):
+
+def test_dense_runs_never_import_scipy_sparse(fresh_python, tmp_path, monkeypatch):
     path = tmp_path / "dense.csv"
     path.write_text("2,1,0\n1,2,1\n0,1,2\n")
-    out = fresh_python("-c", _DENSE_RUNS_SKIP_SCIPY_SPARSE, str(path)).stdout
+    out = fresh_python("-c", _DENSE_RUNS_SKIP_SCIPY_SPARSE, str(path), json.dumps(_SMALL_DENSE_PATTERNS)).stdout
     seen = json.loads(out.splitlines()[-1])
     assert seen == {"import": False, "wigner": False, "report": False, "bounds": False,
-                    "dense file": False, "band_cyclic": True}
+                    "dense file": False, **{name: [False, False] for name, *_ in _SMALL_DENSE_PATTERNS},
+                    "band_cyclic": True}
+    # the numpy builds equal the CSR-built arrays bit for bit
+    for name, *args in _SMALL_DENSE_PATTERNS:
+        dense = getattr(coeffs, name).__wrapped__(*args)
+        with monkeypatch.context() as m:
+            m.setattr(coeffs, "SPARSE_FILL_THRESHOLD", math.inf)  # every build sparse
+            csr = getattr(coeffs, name).__wrapped__(*args)
+        assert not dense.is_sparse and csr.is_sparse, name
+        assert np.array_equal(dense.data.view(np.int64), csr.toarray().view(np.int64)), name
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_UNSET = dict.fromkeys(_THREAD_VARS)  # None: removed from the child's environment
+
+_STARTUP = """
+import json, os, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+import specbound, scipy.sparse.linalg
+from specbound import specnorm
+print(json.dumps({
+    "tasks": len(os.listdir("/proc/self/task")),
+    "blas": [get() for get, _ in specnorm._openblas_handles()],
+    "env": {name: os.environ.get(name) for name in sys.argv[2:]},
+}))
+"""
+
+
+def _startup(fresh_python, order, env):
+    return json.loads(fresh_python("-c", _STARTUP, order, *_THREAD_VARS, env=env).stdout)
+
+
+def _cores():
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or _cores() < 2,
+                    reason="needs /proc/self/task and two cores, where OpenBLAS would start a worker")
+def test_importing_specbound_first_starts_no_blas_worker(fresh_python):
+    out = _startup(fresh_python, "specbound first", _UNSET)
+    assert out["tasks"] == 1
+    assert out["blas"] == [1] * len(out["blas"])
+    assert out["env"] == {**_UNSET, "OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_set_blas_thread_count_is_left_alone(fresh_python, name):
+    out = _startup(fresh_python, "specbound first", {**_UNSET, name: "2"})
+    assert out["env"] == {**_UNSET, name: "2"}
+    assert out["blas"] == [min(2, _cores())] * len(out["blas"])
+
+
+def test_importing_numpy_first_leaves_the_environment_alone(fresh_python):
+    out = _startup(fresh_python, "numpy first", _UNSET)
+    assert out["env"] == _UNSET
 
 
 def test_issparse_is_false_while_scipy_sparse_is_half_imported(monkeypatch):
