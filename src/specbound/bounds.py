@@ -12,7 +12,7 @@ which are listed and which of them are guarantees for that law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -43,23 +43,18 @@ class BoundReport:
     note: str = field(default="")
 
     def to_json(self):
-        return {
-            "bound_name": self.bound_name,
-            "value": self.value,
-            "constant_mode": self.constant_mode,
-            "epsilon": self.epsilon_or_alpha,
-            "sigma": self.sigma,
-            "sigma_star": self.sigma_star,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "n": self.n,
-            "m": self.m,
-        }
+        """The fields in order, epsilon_or_alpha as "epsilon", without the note."""
+        return {("epsilon" if k == "epsilon_or_alpha" else k): v for k, v in asdict(self).items() if k != "note"}
 
 
 def _check_epsilon(epsilon):
     if not 0 < epsilon <= 0.5:
         raise ParameterError(f"epsilon must be in (0, 1/2], got {epsilon}")
+
+
+def _check_t(t):
+    if t < 0:
+        raise ParameterError(f"t must be >= 0, got {t}")
 
 
 def _require_symmetric(C, op):
@@ -69,20 +64,7 @@ def _require_symmetric(C, op):
 
 def _report(name, value, mode, C, eps=None, note=""):
     """BoundReport of ``value``, with C's (cached) ``StructuralParams`` as its inputs."""
-    p = structural_params(C)
-    return BoundReport(
-        bound_name=name,
-        value=float(value),
-        constant_mode=mode,
-        epsilon_or_alpha=eps,
-        sigma=p.sigma,
-        sigma_star=p.sigma_star,
-        sigma1=p.sigma1,
-        sigma2=p.sigma2,
-        n=C.rows,
-        m=C.cols,
-        note=note,
-    )
+    return BoundReport(name, float(value), mode, eps, **asdict(structural_params(C)), n=C.rows, m=C.cols, note=note)
 
 
 def main_log_coefficient(epsilon):
@@ -212,7 +194,7 @@ def bound_rademacher(C, epsilon, tol=1e-8):
     _require_symmetric(C, "bound_rademacher")
     main = bound_main(C, epsilon)
     with specnorm._single_blas_thread:  # LAPACK digits depend on the BLAS thread count
-        norm_b = specnorm.spectral_norm(C.absolute(), tol=tol).value
+        norm_b = specnorm.spectral_norm(abs(C.data), tol=tol).value
     value = min(main.value, norm_b)
     return replace(main, bound_name="rademacher", value=float(value), constant_mode=STRUCTURAL)
 
@@ -331,8 +313,7 @@ def tail_bound(C, epsilon, t):
     exp(-t^2 / (4 sigma_star^2)) for a symmetric pattern and
     exp(-t^2 / (2 sigma_star^2)) for a rectangular one.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    _check_t(t)
     p = structural_params(C)
     if C.kind == "symmetric":
         base = bound_main(C, epsilon).value
@@ -377,8 +358,7 @@ def tail_bound_second_form(C, epsilon, t, variant="gaussian", sigma_star_tilde=N
     and the bounded-entry constant; the caller puts the threshold at
     (1+eps) 2 sigma_tilde.  Both variants are structural.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    _check_t(t)
     p = structural_params(C)
     if variant == "gaussian":
         star = p.sigma_star
@@ -401,8 +381,7 @@ def reference_tail_curves(t, n, sigma, sigma_tilde, sigma_star_tilde, c=8.0):
     n exp(-t^2 / (c (sigma_tilde^2 + sigma_star_tilde t))), default c = 8 by
     analogy.  Both are plotting references only.
     """
-    if t < 0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    _check_t(t)
     if t == 0:
         return min(1.0, float(n)), min(1.0, float(n))
     conc = 0.0 if sigma == 0 else min(1.0, n * math.exp(-(t * t) / (8.0 * sigma**2)))

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 from . import bounds as bounds_mod
@@ -127,29 +128,43 @@ def _load_matrix(m):
     raise ParameterError("need either a pattern or a matrix file")
 
 
-def _out_path(m, default_name):
-    base = m.output or default_name
-    root = os.environ.get(OUTPUT_DIR_ENV, ".")
-    return base if os.path.isabs(base) else os.path.join(root, base)
-
-
 def _write_manifest_echo(m, path):
     echo = {"manifest": asdict(m), "content_hash": m.content_hash()}
-    with open(path, "w") as fh:
-        fh.write(_json(echo, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json(echo, indent=2, sort_keys=True) + "\n")
+
+
+def _write_output(m, default_name, write):
+    """write(path) at the run's output path (relative paths under
+    $SPECBOUND_OUTPUT_DIR), then the manifest echo beside it; returns the path."""
+    base = m.output or default_name
+    root = os.environ.get(OUTPUT_DIR_ENV, ".")
+    path = base if os.path.isabs(base) else os.path.join(root, base)
+    write(path)
+    _write_manifest_echo(m, path + ".manifest.json")
+    return path
+
+
+def _write_json_output(m, default_name, text):
+    """With ``--output``, the JSON text and its manifest echo; without, nothing."""
+    if m.output:
+        _write_output(m, default_name, lambda path: Path(path).write_text(text + "\n"))
 
 
 def validate(m):
     """Precondition report for the manifest's target operation; never raises."""
     violations = []
+
+    def check(precondition, *args):
+        try:
+            precondition(*args)
+        except (ParameterError, SizeError) as exc:
+            violations.append(str(exc))
+
     if m.command not in COMMANDS:
         violations.append(f"unknown command {m.command!r}")
     if not 0 < m.epsilon <= 0.5:
         violations.append("epsilon must be in (0, 1/2]")
-    try:
-        distribution_from_code(m.distribution)
-    except ParameterError as exc:
-        violations.append(str(exc))
+    check(distribution_from_code, m.distribution)
     if m.p is not None and m.p < 1:
         violations.append("p (moment order) must be >= 1")
     elif m.command == "bounds" and m.p is not None and m.p >= 2:
@@ -159,16 +174,25 @@ def validate(m):
         violations.append("tol must be > 0")
     if m.trials < 1:
         violations.append("trials must be >= 1")
+    elif m.command == "report":
+        check(exp_mod._check_stderr_trials, m.trials)
     if m.threads < 0:
         violations.append("threads must be >= 0 (0 = auto)")
     if m.command in ("phase", "seginer") and not m.n_grid:
         violations.append(f"{m.command} needs n_grid")
+    elif m.command == "seginer":
+        check(lambda: [exp_mod._seginer_cell(n) for n in m.n_grid])
     if m.command == "phase" and not m.k_rule:
         violations.append("phase needs k_rule")
+    elif m.command == "phase" and m.n_grid:
+        check(lambda: [exp_mod.resolve_k_rule(m.k_rule, n) for n in m.n_grid])
     if m.command == "phase" and m.pattern and m.pattern not in ("band", "regular_random"):
         violations.append("phase patterns are band or regular_random")
-    if m.command == "tails" and m.trials < 1000:
-        violations.append("tails needs trials >= 1000")
+    if m.command == "tails":
+        if m.trials < 1000:
+            violations.append("tails needs trials >= 1000")
+        for t in m.t_grid:
+            check(bounds_mod._check_t, float(t))
     if m.command == "moments":
         if m.p is None:
             violations.append("moments needs p")
@@ -187,10 +211,7 @@ def validate(m):
                 else:
                     # an integer p in 1..MAX_HALF_LENGTH; the checks above report any other
                     if m.p in range(1, moments_mod.MAX_HALF_LENGTH + 1):
-                        try:
-                            moments_mod.check_comparison(C, int(m.p))
-                        except (ParameterError, SizeError) as exc:
-                            violations.append(str(exc))
+                        check(moments_mod.check_comparison, C, int(m.p))
     if m.command in ("bounds", "sample", "norm", "tails", "density", "report"):
         if m.pattern is None and m.matrix_file is None:
             violations.append(f"{m.command} needs a pattern or matrix file")
@@ -206,11 +227,7 @@ def _cmd_bounds(m):
     reports = bounds_mod.upper_bounds(C, distribution_from_code(m.distribution), m.epsilon, float(m.p) if m.p else 1.0)
     payload = [r.to_json() for r in reports]
     print(_json(payload, indent=2))
-    if m.output:
-        path = _out_path(m, "bounds.json")
-        with open(path, "w") as fh:
-            fh.write(_json(payload, indent=2, sort_keys=True) + "\n")
-        _write_manifest_echo(m, path + ".manifest.json")
+    _write_json_output(m, "bounds.json", _json(payload, indent=2, sort_keys=True))
     return 0
 
 
@@ -218,9 +235,7 @@ def _cmd_sample(m):
     C = _load_matrix(m)
     dist = distribution_from_code(m.distribution)
     X = sample_matrix(C, dist, SeedSpec(m.seed, 0))
-    path = _out_path(m, "sample.csv")
-    coeffs_mod.write_matrix_csv(X, path, symmetric=C.kind == "symmetric")
-    _write_manifest_echo(m, path + ".manifest.json")
+    path = _write_output(m, "sample.csv", lambda path: coeffs_mod.write_matrix_csv(X, path, C.kind == "symmetric"))
     print(_json({"written": path, "rows": C.rows, "cols": C.cols}))
     return 0
 
@@ -228,17 +243,7 @@ def _cmd_sample(m):
 def _cmd_norm(m):
     C = _load_matrix(m)
     X = sample_matrix(C, distribution_from_code(m.distribution), SeedSpec(m.seed, 0))
-    res = spectral_norm(X, tol=m.tol)
-    print(
-        _json(
-            {
-                "value": res.value,
-                "method": res.method,
-                "iterations": res.iterations,
-                "rel_error_bound": res.rel_error_bound,
-            }
-        )
-    )
+    print(_json(asdict(spectral_norm(X, tol=m.tol))))
     return 0
 
 
@@ -288,10 +293,7 @@ def _cmd_phase(m):
         threads=_threads(m),
         band_variant=m.band_variant,
     )
-    path = _out_path(m, "phase.csv")
-    grid.write_csv(path)
-    _write_manifest_echo(m, path + ".manifest.json")
-    print(_json({"written": path, "cells": len(grid.rows)}))
+    print(_json({"written": _write_output(m, "phase.csv", grid.write_csv), "cells": len(grid.rows)}))
     return 0
 
 
@@ -302,9 +304,7 @@ def _cmd_tails(m):
         C, dist, m.epsilon, m.trials, [float(t) for t in m.t_grid], m.seed,
         tol=m.tol, threads=_threads(m),
     )
-    path = _out_path(m, "tails.csv")
-    exp_mod.write_rows_csv(rows, path)
-    _write_manifest_echo(m, path + ".manifest.json")
+    path = _write_output(m, "tails.csv", lambda path: exp_mod.write_rows_csv(rows, path))
     print(_json({"written": path, "points": len(rows)}))
     return 0
 
@@ -322,9 +322,7 @@ def _cmd_seginer(m):
     rows = exp_mod.seginer_block_experiment(
         [int(x) for x in m.n_grid], dist, m.trials, m.seed, threads=_threads(m)
     )
-    path = _out_path(m, "seginer.csv")
-    exp_mod.write_rows_csv(rows, path)
-    _write_manifest_echo(m, path + ".manifest.json")
+    path = _write_output(m, "seginer.csv", lambda path: exp_mod.write_rows_csv(rows, path))
     print(_json({"written": path, "cells": len(rows)}))
     return 0
 
@@ -337,11 +335,7 @@ def _cmd_report(m):
     )
     text = _json(rep, indent=2, sort_keys=True)
     print(text)
-    if m.output:
-        path = _out_path(m, "report.json")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        _write_manifest_echo(m, path + ".manifest.json")
+    _write_json_output(m, "report.json", text)
     if not rep["ok"]:
         raise GuaranteeError("; ".join(rep["failures"]))
     return 0

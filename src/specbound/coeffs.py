@@ -108,10 +108,6 @@ class CoefficientMatrix:
             return self._data.toarray()
         return self._data.copy()
 
-    def absolute(self):
-        """|b_ij| as a plain matrix of the same storage kind."""
-        return abs(self._data)
-
     def nonzero_entries(self):
         """(i, j, b_ij) of all nonzeros in row-major order."""
         if self.is_sparse:
@@ -194,16 +190,7 @@ def _mirrored_exactly(data, sym_tol):
         return np.where(np.tri(data.shape[0], k=-1, dtype=bool), data.T, data)
     import scipy.sparse as sp
 
-    U = sp.triu(data, format="coo")
-    off = U.row != U.col
-    mirrored = sp.coo_array(
-        (
-            np.concatenate([U.data, U.data[off]]),
-            (np.concatenate([U.row, U.col[off]]), np.concatenate([U.col, U.row[off]])),
-        ),
-        shape=data.shape,
-    )
-    return _canonical_csr(mirrored)
+    return _canonical_csr(sp.triu(data, format="csr") + sp.triu(data, k=1, format="csr").T)
 
 
 def _sparse_fill(nnz, n, m):
@@ -227,6 +214,7 @@ def _pack(rows, cols, vals, n, m, kind):
 # (builder, (type, value) of each argument) -> the live pattern it built
 _LIVE = weakref.WeakValueDictionary()
 _LIVE_LOCK = threading.Lock()  # one build per live pattern when builders run on threads
+_CACHE_LOCK = threading.Lock()  # one compile per pattern and name; no compile may call _cached
 
 
 def _interned(builder):
@@ -253,6 +241,14 @@ def _interned(builder):
     return build
 
 
+def _cached(C, name, compile):
+    """compile(C), computed once per pattern and kept as its attribute ``name``."""
+    with _CACHE_LOCK:
+        if not hasattr(C, name):
+            setattr(C, name, compile(C))
+        return getattr(C, name)
+
+
 def _check_dim(n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"dimension must be a positive integer, got {n!r}")
@@ -266,15 +262,20 @@ def wigner(n):
     return CoefficientMatrix(np.broadcast_to(1.0, (n, n)), "symmetric")
 
 
+def _diagonal_pattern(vals):
+    """The symmetric pattern diag(vals) of nonzero ``vals``."""
+    n = len(vals)
+    if not _sparse_fill(n, n, n):
+        return CoefficientMatrix(np.diag(vals), "symmetric")
+    import scipy.sparse as sp
+
+    return CoefficientMatrix(sp.diags_array(vals, format="csr"), "symmetric")
+
+
 @_interned
 def diagonal(n):
     """Identity pattern."""
-    n = _check_dim(n)
-    if not _sparse_fill(n, n, n):
-        return CoefficientMatrix(np.eye(n, dtype=bool), "symmetric")
-    import scipy.sparse as sp
-
-    return CoefficientMatrix(sp.eye_array(n, format="csr"), "symmetric")
+    return _diagonal_pattern(np.ones(_check_dim(n)))
 
 
 def _band_mask(n, k):
@@ -365,16 +366,7 @@ def log_decay_diagonal(n):
     vals = np.ones(n)
     if n > 1:
         vals[1:] = np.minimum(1.0, 1.0 / np.sqrt(np.log(i[1:])))
-    if not _sparse_fill(n, n, n):
-        return CoefficientMatrix(np.diag(vals), "symmetric")
-    import scipy.sparse as sp
-
-    return CoefficientMatrix(sp.diags_array(vals, format="csr"), "symmetric")
-
-
-def from_adjacency(path):
-    """Load a symmetric pattern from a dense CSV matrix file."""
-    return load_dense_csv(path, kind="symmetric")
+    return _diagonal_pattern(vals)
 
 
 # name -> (builder, number of parameters); the registry of named patterns
@@ -386,7 +378,6 @@ PATTERNS = {
     "block_diagonal": (block_diagonal, 2),
     "single_entry": (single_entry, 1),
     "log_decay_diagonal": (log_decay_diagonal, 1),
-    "from_adjacency": (from_adjacency, 1),
 }
 
 
@@ -399,15 +390,12 @@ def _int_param(kind, p):
 
 
 def build_pattern(kind, params=()):
-    """Build a named pattern from its parameters: integers (or their text),
-    or the file path of ``from_adjacency``."""
+    """Build a named pattern from its integer parameters (or their text)."""
     if kind not in PATTERNS:
         raise ParameterError(f"unknown pattern {kind!r}; expected one of {', '.join(PATTERNS)}")
     builder, arity = PATTERNS[kind]
     if len(params) != arity:
         raise ParameterError(f"pattern {kind} takes {arity} parameter(s), got {len(params)}")
-    if kind == "from_adjacency":
-        return builder(*params)
     return builder(*[_int_param(kind, p) for p in params])
 
 
@@ -416,10 +404,7 @@ def build_pattern(kind, params=()):
 
 def structural_params(C):
     """sigma, sigma_star, sigma1, sigma2 of a pattern; computed once and cached on it."""
-    params = getattr(C, "_structural_params", None)
-    if params is None:
-        params = C._structural_params = _structural_params(C)
-    return params
+    return _cached(C, "_structural_params", _structural_params)
 
 
 def _structural_params(C):

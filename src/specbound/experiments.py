@@ -63,10 +63,14 @@ def _trial_norms(C, dist, seed, trials, tol, threads, first=0, row_norms=False):
     return _run_trials(one, trials, threads)
 
 
-def estimate_expected_norm(C, dist, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
-    """Monte Carlo estimate of E||X|| over independent trials."""
+def _check_stderr_trials(trials):
     if trials < 2:
         raise ParameterError("trials must be >= 2 for a standard error")
+
+
+def estimate_expected_norm(C, dist, trials, seed, tol=DEFAULT_NORM_TOL, threads=1):
+    """Monte Carlo estimate of E||X|| over independent trials."""
+    _check_stderr_trials(trials)
     try:
         values = _trial_norms(C, dist, seed, trials, tol, threads)
     except NonConvergenceError as exc:
@@ -94,7 +98,8 @@ def regular_random_pattern(n, k, seed):
 
 
 def resolve_k_rule(rule, n):
-    """Map a k-rule spec ("const:3", "c_log:1.5", "log_sq", "sqrt") to k."""
+    """Map a k-rule spec ("const:3", "c_log:1.5", "log_sq", "sqrt") to a k below n."""
+    n = coeffs_mod._check_dim(n)
     name, _, text = str(rule).partition(":")
     try:
         param = float(text) if text else None
@@ -118,6 +123,8 @@ def resolve_k_rule(rule, n):
         k = max(1, round(math.log(n) ** 2))
     else:
         k = max(1, round(math.sqrt(n)))
+    if k >= n:
+        raise ParameterError(f"k rule gave k={k} >= n={n}")
     label = name if param is None else f"{name}:{param:g}"
     return k, label
 
@@ -162,10 +169,8 @@ def phase_scan(
     if band_variant not in ("cyclic", "truncated"):
         raise ParameterError(f"band_variant must be cyclic or truncated, got {band_variant!r}")
     result = PhaseGridResult()
-    for cell, n in enumerate(n_grid):
-        k, label = resolve_k_rule(k_rule, n)
-        if k >= n:
-            raise ParameterError(f"k rule gave k={k} >= n={n}")
+    cells = [(n, *resolve_k_rule(k_rule, n)) for n in n_grid]  # every cell is checked before any trial
+    for cell, (n, k, label) in enumerate(cells):
         if pattern == "band":
             half = max(0, (k - 1) // 2)
             C = (coeffs_mod.band_cyclic if band_variant == "cyclic" else coeffs_mod.band)(n, half)
@@ -258,6 +263,15 @@ def _block_norms(X, nblocks, k):
     return float(np.abs(w).max())
 
 
+def _seginer_cell(n_req):
+    """(n, k): k = ceil(sqrt(log n)) and n rounded to the nearest multiple of k, at least 2."""
+    k = max(1, math.ceil(math.sqrt(math.log(max(n_req, 2)))))
+    n = max(1, round(n_req / k)) * k
+    if n < 2:
+        raise ParameterError(f"seginer needs n >= 2, got n={n_req} (rounded to {n})")
+    return n, k
+
+
 def seginer_block_experiment(n_grid, dist, trials, seed, threads=1):
     """E||X|| / sqrt(log n) for block-diagonal patterns with k = ceil(sqrt(log n)).
 
@@ -266,13 +280,11 @@ def seginer_block_experiment(n_grid, dist, trials, seed, threads=1):
     eigendecompositions of the k x k blocks, so no solver tolerance applies.
     """
     rows = []
-    for cell, n_req in enumerate(n_grid):
-        k = max(1, math.ceil(math.sqrt(math.log(max(n_req, 2)))))
-        nblocks = max(1, round(n_req / k))
-        n = nblocks * k
+    cells = [(n_req, *_seginer_cell(n_req)) for n_req in n_grid]  # every cell is checked before any trial
+    for cell, (n_req, n, k) in enumerate(cells):
         C = coeffs_mod.block_diagonal(n, k)
 
-        def one(t, C=C, nblocks=nblocks, k=k, cell=cell):
+        def one(t, C=C, nblocks=n // k, k=k, cell=cell):
             return _block_norms(sample_matrix(C, dist, SeedSpec(seed, cell * trials + t)), nblocks, k)
 
         est = NormEstimate.from_values(_run_trials(one, trials, threads), seed)
@@ -302,6 +314,7 @@ def bounds_vs_empirical_report(C, dist, epsilon, trials, seed, tol=DEFAULT_NORM_
     max-column-norm ratio, which corresponds to an open conjecture.  Both
     lower values come from one set of max-entry draws.
     """
+    _check_stderr_trials(trials)
     pairs = _trial_norms(C, dist, seed, trials, tol, threads, row_norms=True)
     norms = np.asarray([p[0] for p in pairs])
     maxrows = np.asarray([p[1] for p in pairs])

@@ -30,12 +30,12 @@ solves such a pattern on a ``specnorm.BandedMatrix`` of the same entries.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .coeffs import _cached
 from .errors import ParameterError
 from .specnorm import BandedMatrix
 
@@ -48,7 +48,6 @@ STREAM_MAX_ENTRY = 2
 STREAM_PATTERN = 3
 
 _SQRT3 = math.sqrt(3.0)
-_PLAN_LOCK = threading.Lock()  # one plan compile per pattern when trials run on threads
 _BANDED_FILL = 1.25  # a banded layout holds at most this many slots per nonzero
 
 
@@ -261,17 +260,6 @@ def _plan(C):
       mirrored if symmetric, and 0 at the holes.
     """
     return _cached(C, "_sampling_plan", _compile_plan)
-
-
-def _cached(C, name, compile):
-    """compile(C), computed once per pattern and kept as its attribute ``name``."""
-    with _PLAN_LOCK:
-        try:
-            return getattr(C, name)
-        except AttributeError:
-            plan = compile(C)
-            setattr(C, name, plan)
-            return plan
 
 
 def _compile_plan(C):

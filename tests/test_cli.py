@@ -276,6 +276,18 @@ def test_cli_norm(capsys):
     assert payload["method"] == "dense_eig"
 
 
+def test_cli_json_key_order(capsys):
+    # bounds prints its JSON unsorted, so the key order is part of its output
+    keys = ["bound_name", "value", "constant_mode", "epsilon", "sigma", "sigma_star", "sigma1", "sigma2", "n", "m"]
+    code, out, _ = run_cli(capsys, "bounds", "--pattern", "band:50,2", "--distribution", "rademacher")
+    assert code == 0
+    assert [list(entry) for entry in json.loads(out)] == [keys] * 6
+    assert list(bounds.bound_main(parse_pattern("wigner:8"), 0.25).to_json()) == keys
+    code, out, _ = run_cli(capsys, "norm", "--pattern", "wigner:16")
+    assert code == 0
+    assert list(json.loads(out)) == ["value", "method", "iterations", "rel_error_bound"]
+
+
 def test_cli_sample_writes_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     code, out, _ = run_cli(
@@ -441,6 +453,32 @@ def test_validate_refuses_a_phase_pattern_other_than_band_or_regular_random(tmp_
     assert code == 0
     assert json.loads(out) == {"command": "phase", "valid": False, "violations": [message]}
     code, out, err = run_cli(capsys, "phase", "--manifest", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"command": "seginer", "n_grid": [1], "trials": 2}, "seginer needs n >= 2, got n=1 (rounded to 1)"),
+        ({"command": "seginer", "n_grid": [64, 0], "trials": 2}, "seginer needs n >= 2, got n=0 (rounded to 1)"),
+        ({"command": "report", "pattern": "wigner:8", "trials": 1}, "trials must be >= 2 for a standard error"),
+        ({"command": "phase", "pattern": "band", "n_grid": [64], "k_rule": "const:x"},
+         "k rule 'const:x': 'x' is not a number"),
+        ({"command": "phase", "pattern": "band", "n_grid": [4], "k_rule": "const:9"}, "k rule gave k=9 >= n=4"),
+        ({"command": "phase", "pattern": "band", "n_grid": [64, 0], "k_rule": "c_log:1"},
+         "dimension must be a positive integer, got 0"),
+        ({"command": "tails", "pattern": "wigner:8", "trials": 1000, "t_grid": [1.0, -1.0]}, "t must be >= 0, got -1.0"),
+    ],
+)
+def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, monkeypatch, manifest, message):
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    code, out, _ = run_cli(capsys, "validate", "--manifest", str(path))
+    assert code == 0
+    assert json.loads(out) == {"command": manifest["command"], "valid": False, "violations": [message]}
+    code, out, err = run_cli(capsys, manifest["command"], "--manifest", str(path))
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ParameterError", "message": message}
 

@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ def test_build_pattern_dispatch():
                          ("wigner", [2.5]), ("wigner", ["2.5"]), ("from_adjacency", [])]:
         with pytest.raises(ParameterError):
             coeffs.build_pattern(kind, params)
+
+
+def test_readme_lists_every_pattern_name():
+    # the --pattern names that README's CLI section gives are the registry's
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = re.search(r"Patterns use `name:params` syntax\s*\((.*?)\);", text, re.S).group(1)
+    names = re.findall(r"`(\w+):", listing)
+    assert sorted(names) == sorted(coeffs.PATTERNS)
 
 
 def test_sparse_storage_threshold():
@@ -596,12 +605,12 @@ def test_threads_building_one_pattern_share_it():
     assert all(C is built[0] for C in built)
 
 
-def test_from_adjacency_reads_its_file_on_every_call(tmp_path):
+def test_load_dense_csv_reads_its_file_on_every_call(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_text("0,1\n1,0\n")
-    first = coeffs.build_pattern("from_adjacency", [str(path)])
+    first = coeffs.load_dense_csv(path, kind="symmetric")
     path.write_text("0,2\n2,0\n")
-    second = coeffs.build_pattern("from_adjacency", [str(path)])
+    second = coeffs.load_dense_csv(path, kind="symmetric")
     assert first.toarray()[0, 1] == 1.0 and second.toarray()[0, 1] == 2.0
 
 
@@ -654,13 +663,13 @@ def test_sparse_csv_roundtrip_mirrors_lower_triangle(tmp_path):
     assert Z.data.shape == (3, 5) and Z.nnz == 0
 
 
-def test_from_adjacency_requires_symmetry(tmp_path):
+def test_load_dense_csv_symmetric_requires_symmetry(tmp_path):
     path = tmp_path / "adj.csv"
     path.write_text("0,1\n0,0\n")
     with pytest.raises(DataError):
-        coeffs.build_pattern("from_adjacency", [str(path)])
+        coeffs.load_dense_csv(path, kind="symmetric")
     path.write_text("0,1\n1,0\n")
-    C = coeffs.build_pattern("from_adjacency", [str(path)])
+    C = coeffs.load_dense_csv(path, kind="symmetric")
     assert C.kind == "symmetric" and C.nnz == 2
 
 

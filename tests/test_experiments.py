@@ -40,6 +40,24 @@ def test_estimate_wigner_scale():
 def test_estimate_requires_two_trials():
     with pytest.raises(ParameterError):
         experiments.estimate_expected_norm(coeffs.wigner(4), GAUSSIAN, 1, seed=0)
+    # one trial has no standard error, which would leave the report's 3*stderr margins at 0
+    with pytest.raises(ParameterError, match="trials must be >= 2 for a standard error"):
+        experiments.bounds_vs_empirical_report(coeffs.wigner(8), GAUSSIAN, 0.25, 1, seed=0)
+
+
+def test_phase_and_seginer_check_every_cell_before_the_first_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before every cell was checked")
+
+    monkeypatch.setattr(experiments, "_trial_norms", no_trials)
+    monkeypatch.setattr(experiments, "_run_trials", no_trials)
+    with pytest.raises(ParameterError, match="k rule gave k=9 >= n=4"):
+        experiments.phase_scan("band", [64, 4], "const:9", GAUSSIAN, trials=2, seed=0)
+    with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+        experiments.phase_scan("band", [64, 0], "c_log:1", GAUSSIAN, trials=2, seed=0)
+    for n in (1, 0, -3):  # each rounds to n = 1, where log n = 0
+        with pytest.raises(ParameterError, match=rf"seginer needs n >= 2, got n={n} \(rounded to 1\)"):
+            experiments.seginer_block_experiment([64, n], RADEMACHER, 2, seed=0)
 
 
 def test_resolve_k_rule():
