@@ -157,7 +157,7 @@ def validate(m):
     def check(precondition, *args):
         try:
             precondition(*args)
-        except (ParameterError, SizeError) as exc:
+        except (ParameterError, SizeError, OverflowError) as exc:  # OverflowError: a huge n or k-rule value
             violations.append(str(exc))
 
     if m.command not in COMMANDS:

@@ -466,6 +466,9 @@ def test_validate_refuses_a_phase_pattern_other_than_band_or_regular_random(tmp_
         ({"command": "phase", "pattern": "band", "n_grid": [64], "k_rule": "const:x"},
          "k rule 'const:x': 'x' is not a number"),
         ({"command": "phase", "pattern": "band", "n_grid": [4], "k_rule": "const:9"}, "k rule gave k=9 >= n=4"),
+        ({"command": "phase", "pattern": "band", "n_grid": [64], "k_rule": "c_log:1e308"},
+         "cannot convert float infinity to integer"),
+        ({"command": "seginer", "n_grid": [10**400], "trials": 2}, "integer division result too large for a float"),
         ({"command": "phase", "pattern": "band", "n_grid": [64, 0], "k_rule": "c_log:1"},
          "dimension must be a positive integer, got 0"),
         ({"command": "tails", "pattern": "wigner:8", "trials": 1000, "t_grid": [1.0, -1.0]}, "t must be >= 0, got -1.0"),
