@@ -82,7 +82,6 @@ from .sampling import (
     distribution_from_code,
     distribution_moment,
     sample_matrix,
-    symmetrized_difference,
 )
 from .specnorm import NormResult, eigenvalues_all, max_row_norm, spectral_norm
 from .experiments import (

@@ -185,7 +185,7 @@ def validate(m):
     if m.command == "phase" and not m.k_rule:
         violations.append("phase needs k_rule")
     elif m.command == "phase" and m.n_grid:
-        check(lambda: [exp_mod.resolve_k_rule(m.k_rule, n) for n in m.n_grid])
+        check(exp_mod._phase_cells, m.pattern or "band", m.n_grid, m.k_rule)
     if m.command == "phase" and m.pattern and m.pattern not in ("band", "regular_random"):
         violations.append("phase patterns are band or regular_random")
     if m.command == "tails":

@@ -146,6 +146,16 @@ def _row_degrees(C):
     return np.count_nonzero(C.data, axis=1)
 
 
+def _phase_cells(pattern, n_grid, k_rule):
+    """(n, k, k-rule label) of every cell of a phase scan, all checked before
+    any trial runs: a k-regular pattern needs n * k even."""
+    cells = [(n, *resolve_k_rule(k_rule, n)) for n in n_grid]
+    for n, k, _ in cells:
+        if pattern == "regular_random" and n * k % 2:
+            raise ParameterError(f"infeasible k-regular pattern (n={n}, k={k}): n * k must be even")
+    return cells
+
+
 def phase_scan(
     pattern,
     n_grid,
@@ -169,8 +179,7 @@ def phase_scan(
     if band_variant not in ("cyclic", "truncated"):
         raise ParameterError(f"band_variant must be cyclic or truncated, got {band_variant!r}")
     result = PhaseGridResult()
-    cells = [(n, *resolve_k_rule(k_rule, n)) for n in n_grid]  # every cell is checked before any trial
-    for cell, (n, k, label) in enumerate(cells):
+    for cell, (n, k, label) in enumerate(_phase_cells(pattern, n_grid, k_rule)):
         if pattern == "band":
             half = max(0, (k - 1) // 2)
             C = (coeffs_mod.band_cyclic if band_variant == "cyclic" else coeffs_mod.band)(n, half)

@@ -43,7 +43,7 @@ FAMILIES = ("gaussian", "rademacher", "bounded_uniform", "heavy_tailed", "custom
 
 # substreams of a trial, so that different consumers never share variates
 STREAM_SAMPLE = 0
-STREAM_SAMPLE_PRIME = 1
+STREAM_SAMPLE_PRIME = 1  # a second, independent draw of a trial's sample
 STREAM_MAX_ENTRY = 2
 STREAM_PATTERN = 3
 
@@ -203,7 +203,7 @@ def _rows(A):
 
 
 def _symmetric_sparse_plan(A):
-    """(variate count, gather) for sampling an exactly mirrored sparse pattern.
+    """The gather for sampling an exactly mirrored sparse pattern.
 
     gather maps each CSR slot of A to the variate that fills it: an upper
     slot (i <= j) takes its rank in the row-major order of the upper
@@ -216,13 +216,12 @@ def _symmetric_sparse_plan(A):
     # gather stays intp, which numpy gathers twice as fast
     gather = upper.astype(np.intp)
     np.cumsum(gather, out=gather)  # a cumsum of bools would cast into a second copy
-    size = int(gather[-1]) if gather.shape[0] else 0
     gather -= 1
     lower = np.logical_not(upper, out=upper)
     mirror = perm[lower]
     del perm
     gather[lower] = gather[mirror]
-    return size, gather
+    return gather
 
 
 def _dense_mask(C):
@@ -256,40 +255,42 @@ def _plan(C):
       row-major;
     - dense rectangular without a zero coefficient: no gather; the variates
       fill the sample row-major;
-    - dense: gather holds each nonzero's rank in the contract order,
-      mirrored if symmetric, and 0 at the holes.
+    - dense: no gather and no holes; ``wrap`` keeps the boolean mask of the
+      contract's slots (1 byte per entry, not an intp map) and places the
+      values with ``out[mask] = vals`` into zeros, and with ``out.T[mask]``
+      too if symmetric, so zero coefficients stay +0.0.
     """
     return _cached(C, "_sampling_plan", _compile_plan)
 
 
 def _compile_plan(C):
     A = C.data
-    b = contract_values(C)
+    shape = A.shape
+    mask = None if C.is_sparse else _dense_mask(C)
+    b = contract_values(C) if mask is None else A[mask]
+    size = b.shape[0]
     if b.min(initial=1.0) == b.max(initial=1.0) == 1.0:
         b = None  # x * 1.0 is x bit for bit
-    shape = A.shape
     if C.is_sparse:
         import scipy.sparse as sp
 
         def csr(vals):
             return sp.csr_array((vals, A.indices, A.indptr), shape=shape)
 
-        if C.kind == "symmetric":
-            size, gather = _symmetric_sparse_plan(A)
-            return size, b, gather, _NO_HOLES, csr
-        return A.nnz, b, None, _NO_HOLES, csr
-    mask = _dense_mask(C)
-    if C.kind == "rectangular" and mask.all():
-        return A.size, b, None, _NO_HOLES, lambda vals: vals.reshape(shape)
-    size = int(np.count_nonzero(mask))
-    if size == 0:  # nothing to draw or gather
-        return 0, None, None, _NO_HOLES, lambda vals: np.zeros(shape)
-    ranks = np.arange(size)
-    gather = np.zeros(shape, dtype=np.intp)
-    gather[mask] = ranks
-    if C.kind == "symmetric":
-        gather.T[mask] = ranks
-    return size, b, gather, np.flatnonzero(A == 0), lambda vals: vals
+        gather = _symmetric_sparse_plan(A) if C.kind == "symmetric" else None
+        return size, b, gather, _NO_HOLES, csr
+    if C.kind == "rectangular" and size == A.size:
+        return size, b, None, _NO_HOLES, lambda vals: vals.reshape(shape)
+    symmetric = C.kind == "symmetric"
+
+    def place(vals):
+        out = np.zeros(shape)
+        out[mask] = vals
+        if symmetric:
+            out.T[mask] = vals
+        return out
+
+    return size, b, None, _NO_HOLES, place
 
 
 def _row_blocks(A):
@@ -397,13 +398,6 @@ def trial_sample(C, dist, seed):
     if plan is None:
         return sample_matrix(C, dist, seed)
     return _draw(plan, dist, seed, STREAM_SAMPLE)
-
-
-def symmetrized_difference(C, dist, seed):
-    """X - X' for two independent draws; the entry law becomes symmetric."""
-    X = sample_matrix(C, dist, seed, stream=STREAM_SAMPLE)
-    Xp = sample_matrix(C, dist, seed, stream=STREAM_SAMPLE_PRIME)
-    return X - Xp
 
 
 @dataclass

@@ -35,7 +35,9 @@ Rayleigh quotient) and its residual.
 
 scipy.sparse and scipy.sparse.linalg are imported where a sparse or banded
 matrix is built or solved, and ``_issparse`` tests for sparse input without
-the import, so a process that only solves dense matrices loads neither.
+the import.  The OpenBLAS thread pin finds scipy's library through
+``importlib.util.find_spec``, which does not import scipy, so a process
+that only solves dense matrices never loads scipy at all.
 
 An ARPACK solve runs on one BLAS thread: its level-1/2 work on an n x 20
 basis gains nothing from a second OpenBLAS thread, which mostly spins.
@@ -56,7 +58,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import DataError, NonConvergenceError, ParameterError, SizeError
 
@@ -69,21 +70,27 @@ _SINGLE_TOL = 1e-5  # ARPACK iterates in float32 at tol >= this
 # (package, library glob beside it, get symbol, set symbol) of the OpenBLAS
 # builds that the numpy and scipy wheels bundle
 _OPENBLAS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so",
+    ("numpy", "numpy.libs/libscipy_openblas64_*.so",
      "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so",
+    ("scipy", "scipy.libs/libscipy_openblas-*.so",
      "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
 )
 
 
 def _openblas_libraries():
-    """(path, get symbol, set symbol) of each bundled OpenBLAS on disk."""
+    """(path, get symbol, set symbol) of each bundled OpenBLAS on disk.
+
+    ``find_spec`` locates a package without importing it, so the lookup
+    never loads scipy into a process that only solves dense matrices.
+    """
     import glob
+    import importlib.util
     import os
 
     found = []
     for package, pattern, get_name, set_name in _OPENBLAS:
-        libs = glob.glob(os.path.join(os.path.dirname(package.__file__), os.pardir, pattern))
+        where = os.path.dirname(importlib.util.find_spec(package).origin)
+        libs = glob.glob(os.path.join(where, os.pardir, pattern))
         if libs:
             found.append((libs[0], get_name, set_name))
     return found

@@ -472,6 +472,8 @@ def test_validate_refuses_a_phase_pattern_other_than_band_or_regular_random(tmp_
         ({"command": "phase", "pattern": "band", "n_grid": [64, 0], "k_rule": "c_log:1"},
          "dimension must be a positive integer, got 0"),
         ({"command": "tails", "pattern": "wigner:8", "trials": 1000, "t_grid": [1.0, -1.0]}, "t must be >= 0, got -1.0"),
+        ({"command": "phase", "pattern": "regular_random", "n_grid": [64, 65], "k_rule": "const:3", "trials": 2},
+         "infeasible k-regular pattern (n=65, k=3): n * k must be even"),
     ],
 )
 def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, monkeypatch, manifest, message):

@@ -16,7 +16,6 @@ from specbound.sampling import (
     distribution_from_code,
     distribution_moment,
     sample_matrix,
-    symmetrized_difference,
 )
 
 HEAVY2 = EntryDistribution("heavy_tailed", beta=2.0)
@@ -530,7 +529,88 @@ def test_dense_rectangular_pattern_without_zeros_has_no_gather():
     size, b, gather, holes, _ = sampling._plan(C)
     assert size == 21 and gather is None and holes.shape == (0,)
     assert np.array_equal(b, C.data.reshape(-1))
-    assert sampling._plan(OTHER_BUILDS["rect_dense"](None))[2] is not None
+    # no dense plan holds an index map, with zeros or without
+    for name in ("wigner", "band_dense", "rect_dense"):
+        _, _, gather, holes, _ = sampling._plan(OTHER_BUILDS[name](None))
+        assert gather is None and holes.shape == (0,), name
+
+
+def _gather_sample(C, dist, seed):
+    """A dense sample by the gather construction of the earlier dense plans,
+    the reference for the mask placement: an n x m intp map holds each
+    nonzero's rank in the contract order (mirrored if symmetric) and 0
+    elsewhere, and the flat slots of zero coefficients are set to +0.0."""
+    A = C.data
+    mask = np.triu(A != 0) if C.kind == "symmetric" else A != 0
+    b = A[mask]
+    vals = sampling.draw_entries(dist, seed.generator(), b.shape[0])
+    if b.shape[0] == 0:
+        return np.zeros(A.shape)
+    vals *= b
+    ranks = np.arange(b.shape[0])
+    gather = np.zeros(A.shape, dtype=np.intp)
+    gather[mask] = ranks
+    if C.kind == "symmetric":
+        gather.T[mask] = ranks
+    X = vals[gather]
+    X.reshape(-1)[np.flatnonzero(A == 0)] = 0.0
+    return X
+
+
+def _signed_zero_weights():
+    """Weighted symmetric 30 x 30 with -0.0 and +0.0 coefficients on both sides."""
+    a = np.round(np.sin(np.arange(900.0)).reshape(30, 30), 1)
+    a = a + a.T
+    a[a == 0] = -0.0
+    a[::4, ::3] = 0.0
+    a[::3, ::4] = 0.0
+    signs = np.signbit(a[a == 0])
+    assert signs.any() and not signs.all()
+    return a
+
+
+DENSE_PLAN_CASES = {
+    "symmetric": lambda: coeffs.wigner(40),
+    "symmetric_band": lambda: coeffs.band(64, 3),
+    "rectangular_zeros": lambda: coeffs.CoefficientMatrix(_rect_dense_entries(), "rectangular"),
+    "weighted_signed_zeros": lambda: coeffs.CoefficientMatrix(_signed_zero_weights(), "symmetric"),
+    "all_zero_symmetric": lambda: coeffs.CoefficientMatrix(np.zeros((6, 6)), "symmetric"),
+    "all_zero_rectangular": lambda: coeffs.CoefficientMatrix(np.zeros((3, 5)), "rectangular"),
+}
+
+# a law that returns -0.0 for some variates, so that signs of zero products show
+_SIGNED_ZEROS = EntryDistribution("custom", sampler=lambda rng, size: np.where(
+    rng.random(size) < 0.3, -0.0, rng.standard_normal(size)))
+
+
+@pytest.mark.parametrize("make", DENSE_PLAN_CASES.values(), ids=DENSE_PLAN_CASES.keys())
+def test_dense_mask_placement_equals_the_gather_construction(make):
+    C = make()
+    assert not C.is_sparse
+    for seed in (SeedSpec(3, 0), SeedSpec(41, 7)):
+        for dist in (GAUSSIAN, RADEMACHER, HEAVY2, _SIGNED_ZEROS):
+            X = sample_matrix(C, dist, seed)
+            want = _gather_sample(C, dist, seed)
+            # bitwise, so that the signs of zeros agree too
+            assert X.dtype == want.dtype and X.flags.c_contiguous
+            assert np.array_equal(X.view(np.int64), want.view(np.int64))
+
+
+def test_dense_plan_holds_one_byte_per_entry():
+    # the plan keeps its boolean mask, 1 byte per entry, where the gather
+    # construction kept 8 (an intp map) plus the holes
+    rect = np.ones((512, 2048))
+    rect[::3, ::5] = 0.0
+    for C in (coeffs.wigner.__wrapped__(1024), coeffs.CoefficientMatrix(rect, "rectangular")):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = sampling._plan(C)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plan[1] is None and plan[2] is None
+        assert kept <= C.rows * C.cols + 2**12
 
 
 def traced_peak(fn):
@@ -743,6 +823,13 @@ def test_rademacher_dominated_by_gaussian_moments():
     for p in range(1, 9):
         dfact *= 2 * p - 1
         assert distribution_moment(RADEMACHER, 2 * p) == 1 <= dfact
+
+
+def symmetrized_difference(C, dist, seed):
+    """X - X' for two independent draws; the entry law becomes symmetric."""
+    X = sample_matrix(C, dist, seed, stream=sampling.STREAM_SAMPLE)
+    Xp = sample_matrix(C, dist, seed, stream=sampling.STREAM_SAMPLE_PRIME)
+    return X - Xp
 
 
 def test_symmetrized_difference_gaussian_variance():
