@@ -27,9 +27,7 @@ from .coeffs import (
     block_diagonal,
     build_pattern,
     diagonal,
-    large_entry_count,
     log_decay_diagonal,
-    lower_bound_applicable,
     lp_entrywise_norm,
     single_entry,
     structural_params,
@@ -37,7 +35,6 @@ from .coeffs import (
 )
 from .bounds import (
     BoundReport,
-    bound_bounded_entries,
     bound_dimfree,
     bound_heavy,
     bound_main,
@@ -48,7 +45,6 @@ from .bounds import (
     gaussian_moment_bounds,
     lower_bound_estimate,
     lower_bound_explicit,
-    reference_tail_curves,
     tail_bound,
     tail_bound_second_form,
     upper_bounds,
@@ -66,9 +62,7 @@ from .moments import (
     enumerate_bipartite_shapes,
     enumerate_shapes,
     gaussian_moment,
-    rect_trace_moment,
     shape_of,
-    shape_weight_check,
     trace_moment_bruteforce,
     verify_comparison,
     wigner_trace_moment,

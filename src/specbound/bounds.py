@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .coeffs import lp_entrywise_norm, structural_params
-from .errors import ParameterError, DataError
+from .errors import ParameterError
 from .sampling import NormEstimate, SeedSpec, STREAM_MAX_ENTRY
 from . import sampling, specnorm
 
@@ -115,37 +115,6 @@ def bound_heavy(C, beta):
     p = structural_params(C)
     value = p.sigma + p.sigma_star * math.log(C.rows) ** (max(beta, 1.0) / 2.0)
     return _report("heavy", value, STRUCTURAL, C, eps=beta)
-
-
-def bound_bounded_entries(C, alpha, entry_moment):
-    """e^(2/alpha) * { 2 sigma + 14 alpha M sqrt(log n) } with
-    M = max_ij entry_moment(i, j, 2*ceil(alpha log n)).
-
-    ``entry_moment(i, j, q)`` must return the L_q norm of xi_ij * b_ij for
-    even q; it is consulted on the stored nonzeros only (zero coefficients
-    contribute zero).
-    """
-    if alpha < 3:
-        raise ParameterError(f"alpha must be >= 3, got {alpha}")
-    _require_symmetric(C, "bound_bounded_entries")
-    p = structural_params(C)
-    n = C.rows
-    if n == 1:
-        value = math.exp(2.0 / alpha) * 2.0 * p.sigma
-        return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
-    q = 2 * math.ceil(alpha * math.log(n))
-    big_m = 0.0
-    ii, jj, _ = C.nonzero_entries()
-    for i, j in zip(ii, jj):
-        mom = entry_moment(int(i), int(j), q)
-        if not (mom >= 0.0 and math.isfinite(mom)):
-            raise DataError(f"entry_moment({i},{j},{q}) returned {mom!r}")
-        if mom > big_m:
-            big_m = mom
-    value = math.exp(2.0 / alpha) * (
-        2.0 * p.sigma + 14.0 * alpha * big_m * math.sqrt(math.log(n))
-    )
-    return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
 
 
 def bound_dimfree(C, p):
@@ -372,22 +341,6 @@ def tail_bound_second_form(C, epsilon, t, variant="gaussian", sigma_star_tilde=N
     if star == 0.0:
         return 0.0
     return min(1.0, C.rows * math.exp(-(t * t) / (c_eps * star * star)))
-
-
-def reference_tail_curves(t, n, sigma, sigma_tilde, sigma_star_tilde, c=8.0):
-    """Comparison curves: (matrix-concentration, matrix-Bernstein), capped at 1.
-
-    concentration: n exp(-t^2 / (8 sigma^2)); Bernstein:
-    n exp(-t^2 / (c (sigma_tilde^2 + sigma_star_tilde t))), default c = 8 by
-    analogy.  Both are plotting references only.
-    """
-    _check_t(t)
-    if t == 0:
-        return min(1.0, float(n)), min(1.0, float(n))
-    conc = 0.0 if sigma == 0 else min(1.0, n * math.exp(-(t * t) / (8.0 * sigma**2)))
-    denom = c * (sigma_tilde**2 + sigma_star_tilde * t)
-    bern = 0.0 if denom == 0 else min(1.0, n * math.exp(-(t * t) / denom))
-    return conc, bern
 
 
 def gaussian_moment_bounds(r, p, rprime=None):

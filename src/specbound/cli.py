@@ -150,8 +150,17 @@ def _write_json_output(m, default_name, text):
         _write_output(m, default_name, lambda path: Path(path).write_text(text + "\n"))
 
 
-def validate(m):
-    """Precondition report for the manifest's target operation; never raises."""
+# commands that read a pattern (a --pattern spec or a --matrix-file), besides moments verify
+PATTERN_COMMANDS = ("bounds", "sample", "norm", "tails", "density", "report")
+
+
+def _checked(m):
+    """(violations, pattern, load error) of a manifest.
+
+    The pattern of a command that reads one is loaded here, once per run:
+    ``execute`` hands it to the command, and a pattern that fails to load
+    is a violation (``load error`` holds the loader's exception).
+    """
     violations = []
 
     def check(precondition, *args):
@@ -200,21 +209,28 @@ def validate(m):
             violations.append("moments needs an integer p")
         elif m.p > moments_mod.MAX_HALF_LENGTH:
             violations.append(f"p exceeds the enumeration guard {moments_mod.MAX_HALF_LENGTH}")
-        if m.moments_action == "verify":
-            if m.pattern is None and m.matrix_file is None:
-                violations.append("moments verify needs a pattern")
-            else:
-                try:
-                    C = _load_matrix(m)
-                except (ParameterError, DataError, OSError) as exc:
-                    violations.append(f"cannot load pattern: {exc}")
-                else:
-                    # an integer p in 1..MAX_HALF_LENGTH; the checks above report any other
-                    if m.p in range(1, moments_mod.MAX_HALF_LENGTH + 1):
-                        check(moments_mod.check_comparison, C, int(m.p))
-    if m.command in ("bounds", "sample", "norm", "tails", "density", "report"):
+    C = error = None
+    verify = m.command == "moments" and m.moments_action == "verify"
+    if verify or m.command in PATTERN_COMMANDS:
         if m.pattern is None and m.matrix_file is None:
-            violations.append(f"{m.command} needs a pattern or matrix file")
+            violations.append(
+                "moments verify needs a pattern" if verify else f"{m.command} needs a pattern or matrix file"
+            )
+        else:
+            try:
+                C = _load_matrix(m)
+            except (ParameterError, DataError, OSError) as exc:
+                violations.append(f"cannot load pattern: {exc}")
+                error = exc
+    # an integer p in 1..MAX_HALF_LENGTH; the checks above report any other
+    if verify and C is not None and m.p in range(1, moments_mod.MAX_HALF_LENGTH + 1):
+        check(moments_mod.check_comparison, C, int(m.p))
+    return violations, C, error
+
+
+def validate(m):
+    """Precondition report for the manifest's target operation; never raises."""
+    violations = _checked(m)[0]
     return {"command": m.command, "valid": not violations, "violations": violations}
 
 
@@ -222,8 +238,7 @@ def _threads(m):
     return exp_mod.available_cores() if m.threads == 0 else m.threads
 
 
-def _cmd_bounds(m):
-    C = _load_matrix(m)
+def _cmd_bounds(m, C):
     reports = bounds_mod.upper_bounds(C, distribution_from_code(m.distribution), m.epsilon, float(m.p) if m.p else 1.0)
     payload = [r.to_json() for r in reports]
     print(_json(payload, indent=2))
@@ -231,8 +246,7 @@ def _cmd_bounds(m):
     return 0
 
 
-def _cmd_sample(m):
-    C = _load_matrix(m)
+def _cmd_sample(m, C):
     dist = distribution_from_code(m.distribution)
     X = sample_matrix(C, dist, SeedSpec(m.seed, 0))
     path = _write_output(m, "sample.csv", lambda path: coeffs_mod.write_matrix_csv(X, path, C.kind == "symmetric"))
@@ -240,14 +254,13 @@ def _cmd_sample(m):
     return 0
 
 
-def _cmd_norm(m):
-    C = _load_matrix(m)
+def _cmd_norm(m, C):
     X = sample_matrix(C, distribution_from_code(m.distribution), SeedSpec(m.seed, 0))
     print(_json(asdict(spectral_norm(X, tol=m.tol))))
     return 0
 
 
-def _cmd_moments(m):
+def _cmd_moments(m, C):
     p = int(m.p)
     if m.moments_action == "census":
         shapes = moments_mod.enumerate_shapes(p)
@@ -260,7 +273,6 @@ def _cmd_moments(m):
         }
         print(_json(payload, indent=2))
         return 0
-    C = _load_matrix(m)
     lhs, rhs, holds = moments_mod.verify_comparison(C, p)
     exact = not isinstance(lhs, float)
     payload = {
@@ -280,7 +292,7 @@ def _cmd_moments(m):
     return 0
 
 
-def _cmd_phase(m):
+def _cmd_phase(m, _):
     dist = distribution_from_code(m.distribution)
     grid = exp_mod.phase_scan(
         m.pattern or "band",
@@ -297,8 +309,7 @@ def _cmd_phase(m):
     return 0
 
 
-def _cmd_tails(m):
-    C = _load_matrix(m)
+def _cmd_tails(m, C):
     dist = distribution_from_code(m.distribution)
     rows = exp_mod.tail_empirics(
         C, dist, m.epsilon, m.trials, [float(t) for t in m.t_grid], m.seed,
@@ -309,15 +320,14 @@ def _cmd_tails(m):
     return 0
 
 
-def _cmd_density(m):
-    C = _load_matrix(m)
+def _cmd_density(m, C):
     dist = distribution_from_code(m.distribution)
     ks = exp_mod.spectral_density_check(C, dist, m.seed)
     print(_json({"ks_distance": ks}))
     return 0
 
 
-def _cmd_seginer(m):
+def _cmd_seginer(m, _):
     dist = distribution_from_code(m.distribution)
     rows = exp_mod.seginer_block_experiment(
         [int(x) for x in m.n_grid], dist, m.trials, m.seed, threads=_threads(m)
@@ -327,8 +337,7 @@ def _cmd_seginer(m):
     return 0
 
 
-def _cmd_report(m):
-    C = _load_matrix(m)
+def _cmd_report(m, C):
     dist = distribution_from_code(m.distribution)
     rep = exp_mod.bounds_vs_empirical_report(
         C, dist, m.epsilon, m.trials, m.seed, tol=m.tol, threads=_threads(m)
@@ -366,11 +375,15 @@ COMMANDS = {
 
 
 def execute(m):
-    """Validate a manifest and run its command; returns the process exit status."""
-    report = validate(m)
-    if not report["valid"]:
-        raise ParameterError("; ".join(report["violations"]))
-    return COMMANDS[m.command][0](m)
+    """Validate a manifest and run its command on the pattern that the check
+    loaded; returns the process exit status.  A pattern that fails to load
+    raises the loader's own error (a DataError for a malformed file)."""
+    violations, C, error = _checked(m)
+    if error is not None:
+        raise error
+    if violations:
+        raise ParameterError("; ".join(violations))
+    return COMMANDS[m.command][0](m, C)
 
 
 def _add_common(sub):

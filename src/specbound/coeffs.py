@@ -434,30 +434,6 @@ def lp_entrywise_norm(C, p):
     return float(top * vals.sum() ** (1.0 / p))
 
 
-def large_entry_count(C, c):
-    """|{(i, j): |b_ij| >= c * sigma_star}| over ordered pairs."""
-    if not 0 < c <= 1:
-        raise ParameterError(f"c must lie in (0, 1], got {c}")
-    params = structural_params(C)
-    if params.sigma_star == 0:
-        raise ParameterError("zero pattern: sigma_star = 0 makes the threshold degenerate")
-    vals = np.abs(C.data.data) if C.is_sparse else np.abs(np.asarray(C.data)).ravel()
-    return int(np.count_nonzero(vals >= c * params.sigma_star))
-
-
-def lower_bound_applicable(C, c, alpha):
-    """True iff the pattern has >= n^alpha entries of size c * sigma_star.
-
-    When true the two-sided sharpness regime E||X|| ~ sigma + sigma_star
-    sqrt(log n) applies.
-    """
-    if C.kind != "symmetric":
-        raise ParameterError("lower_bound_applicable expects a symmetric pattern")
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
-    return large_entry_count(C, c) >= C.rows**alpha
-
-
 # -- file input / output -----------------------------------------------------
 
 
@@ -481,13 +457,13 @@ def load_dense_csv(path, kind="rectangular"):
     return CoefficientMatrix(arr, kind, sym_tol=FILE_SYMMETRY_TOL)
 
 
-def load_sparse_csv(path, kind="symmetric", shape=None):
+def load_sparse_csv(path, kind="symmetric"):
     """Sparse CSV triples "i,j,value" (0-based).
 
     Symmetric files carry the upper triangle only; the lower triangle is
-    mirrored on load.  Shape defaults to 1 + the largest index seen; a
-    file with no triples needs an explicit shape.  An entry listed twice is
-    refused, not summed.
+    mirrored on load.  The shape is 1 + the largest index seen, so a file
+    with no triples is refused.  An entry listed twice is refused, not
+    summed.
     """
     ri, ci, vals, seen = [], [], [], set()
     with open(path, newline="") as fh:
@@ -510,13 +486,11 @@ def load_sparse_csv(path, kind="symmetric", shape=None):
             ri.append(i)
             ci.append(j)
             vals.append(v)
-    if not vals and shape is None:
+    if not vals:
         raise DataError(f"empty matrix file: {path}")
-    if shape is None:
-        top = max(max(ri), max(ci)) + 1
-        shape = (top, top) if kind == "symmetric" else (max(ri) + 1, max(ci) + 1)
-    n, m = shape
+    n, m = max(ri) + 1, max(ci) + 1
     if kind == "symmetric":
+        n = m = max(n, m)
         extra = [(j, i, v) for i, j, v in zip(ri, ci, vals) if i != j]
         ri = ri + [e[0] for e in extra]
         ci = ci + [e[1] for e in extra]

@@ -22,7 +22,6 @@ relabels the u's and the v's separately.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from .sampling import GAUSSIAN, distribution_moment
 
 MAX_HALF_LENGTH = 6          # enumeration guard: p <= 6
 BRUTE_FORCE_GUARD = 10**8    # guard on n^(2p) for the exact tuple sum
-WEIGHT_ENUM_GUARD = 10**7    # guard on n^(m-1) for shape weight sums
 
 
 def gaussian_moment(i):
@@ -273,57 +271,6 @@ def wigner_trace_moment(r, p):
     if r <= p:
         raise ParameterError(f"the closed form requires r > p, got r={r}, p={p}")
     return sum(math.perm(r, s.m) * _gaussian_weight(s) for s in enumerate_shapes(p))
-
-
-def rect_trace_moment(r, rprime, p):
-    """E Tr[(Y Y^T)^p] for the r x r' all-Gaussian matrix, exact.
-
-    Sums r (r-1) ... (r-m2+1) * r' (r'-1) ... (r'-m1+1) * moment products
-    over bipartite even-cycle shapes; valid for r > p/2 and r' > p/2.
-    """
-    if r < 1 or rprime < 1 or p < 1:
-        raise ParameterError("r, r' and p must be >= 1")
-    if not (r > p / 2 and rprime > p / 2):
-        raise ParameterError(f"requires r > p/2 and r' > p/2, got r={r}, r'={rprime}, p={p}")
-    return sum(
-        math.perm(r, s.m2) * math.perm(rprime, s.m1) * _gaussian_weight(s)
-        for s in enumerate_bipartite_shapes(p)
-    )
-
-
-def shape_weight_check(C, s, u):
-    """(lhs, rhs) of the per-shape coefficient-sum bound.
-
-    lhs sums the coefficient product over all cycles with shape ``s``
-    starting at vertex ``u`` (distinct vertices, injectively realized);
-    rhs is sigma^(2 (m(s) - 1)).  Requires a symmetric pattern with
-    sigma_star <= 1; the caller asserts lhs <= rhs.
-    """
-    if C.kind != "symmetric":
-        raise ParameterError("shape weights are defined for symmetric patterns")
-    params = _unit_sigma_star(C)
-    n = C.rows
-    m = s.m
-    if n ** (m - 1) > WEIGHT_ENUM_GUARD:
-        raise SizeError(f"n^(m-1) = {n}^{m - 1} exceeds the guard {WEIGHT_ENUM_GUARD}")
-    if not 0 <= u < n:
-        raise ParameterError(f"start vertex {u} out of range")
-    adj = _adjacency(C)
-    L = len(s.seq)
-    steps = [(s.seq[idx] - 1, s.seq[(idx + 1) % L] - 1) for idx in range(L)]
-    others = [v for v in range(n) if v != u]
-    total = 0.0
-    # injective maps of the labels 2..m into the other vertices, in lexicographic order
-    for rest in itertools.permutations(others, m - 1):
-        phi = (u, *rest)
-        prod = 1.0
-        for a, b in steps:
-            prod *= adj[phi[a]].get(phi[b], 0.0)
-            if prod == 0.0:
-                break
-        total += prod  # adding a zero product leaves total's bits unchanged
-    rhs = params.sigma ** (2 * (m - 1))
-    return total, rhs
 
 
 def check_comparison(C, p):

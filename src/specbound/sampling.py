@@ -17,10 +17,10 @@ contract-order coefficients b unless all are 1.  ``sample_matrix`` samples
 in the pattern's own storage; a sparse sample shares its read-only index
 arrays, so a trial holds the pattern, the plan and one sample's values.
 
-A sparse symmetric pattern whose nonzeros lie on few cyclic diagonals also
-has a banded layout: its d distinct offsets s = (j - i) mod n, taken in
-(-n/2, n/2] and running from lo to hi, qualify when
-``d * (n + hi - lo) <= 1.25 * nnz`` (``_BANDED_FILL``).  band,
+A sparse symmetric pattern with n > 2 whose nonzeros lie on few cyclic
+diagonals also has a banded layout: its d distinct offsets
+s = (j - i) mod n, taken in (-n/2, n/2] and running from lo to hi,
+qualify when ``d * (n + hi - lo) <= 1.25 * nnz`` (``_BANDED_FILL``).  band,
 band_cyclic, diagonal and log_decay_diagonal qualify; block_diagonal with
 blocks of 2 or more, regular_random and single_entry do not.  Every norm
 trial, ``report``'s included, samples through ``trial_sample``, which
@@ -325,8 +325,8 @@ def _banded_plan(C):
     j - i >= n/2, both at offset n/2.  The compile holds the gather and
     block-sized temporaries, and no nnz-sized array besides.
     """
-    if not (C.is_sparse and C.kind == "symmetric" and C.nnz):
-        return None
+    if not (C.is_sparse and C.kind == "symmetric" and C.nnz and C.rows > 2):
+        return None  # n <= 2: too small for ARPACK, and LAPACK needs an array
     A = C.data
     n = A.shape[0]
     half = n // 2

@@ -1,12 +1,14 @@
 """Spectral norm of realized matrices.
 
-Dispatch is on storage.  Dense arrays up to DENSE_THRESHOLD go through
-LAPACK (eigvalsh / svd).  Sparse and banded input (``BandedMatrix``, the
-layout of the Monte Carlo trials of band patterns), whatever its size, and
-larger dense arrays go to ARPACK's implicitly restarted Lanczos
-(``eigsh(k=1, which="LM")``), which returns the eigenvalue of largest magnitude, i.e.
-max(|lambda_min|, |lambda_max|), from a fixed start vector.  Only operators
-too small for ARPACK (dim <= 2) are densified.  Rectangular inputs are
+Dispatch is on storage and size alone; no caller picks the solver.
+Dense arrays up to DENSE_THRESHOLD go through LAPACK (eigvalsh / svd).
+Sparse and banded input (``BandedMatrix``, the layout of the Monte Carlo
+trials of band patterns), whatever its size, and larger dense arrays go to
+ARPACK's implicitly restarted Lanczos (``eigsh(k=1, which="LM")``), which
+returns the eigenvalue of largest magnitude, i.e. max(|lambda_min|,
+|lambda_max|), from a fixed start vector.  Only sparse operators too small
+for ARPACK (dim <= 2) are densified; a banded matrix always has n > 2.
+Zero and diagonal matrices are read off exactly.  Rectangular inputs are
 handled through the symmetric dilation [[0, X], [X^T, 0]], whose norm
 equals the largest singular value.
 
@@ -269,19 +271,6 @@ class BandedMatrix:
         ext, wrap = self._ext(dtype, scale), self.wrap
         return lambda x: ext @ x[wrap]
 
-    def tocsr(self):
-        """The matrix as a canonical CSR of its nonzeros."""
-        import scipy.sparse as sp
-
-        n, width = self.shape[0], self.wrap.shape[0]
-        fold = sp.csr_array((np.ones(width), self.wrap, np.arange(width + 1)), shape=(width, n))
-        X = self._ext().tocsr() @ fold  # one nonzero term per entry: exact
-        X.sort_indices()
-        return X
-
-    def toarray(self):
-        return self.tocsr().toarray()
-
 
 def _issparse(x):
     # scipy.sparse.issparse(x) without the import: no sparse array exists
@@ -318,15 +307,16 @@ def _start_vector(n):
     return v / np.linalg.norm(v)
 
 
-def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
+def spectral_norm(M, tol=1e-6, *, symmetric=None):
     """Spectral norm (largest singular value) of a real matrix.
 
     Symmetric inputs use the largest |eigenvalue|; rectangular ones go
-    through the symmetric dilation.  ``method`` forces ``dense_eig`` or
-    ``lanczos``; the default sends dense arrays up to n = 2048 to LAPACK
-    and everything else to ARPACK.  ``symmetric=True`` asserts that M is
-    exactly symmetric, as samples of a symmetric pattern are by
-    construction, and skips the check that ``None`` runs.  ``iterations``
+    through the symmetric dilation.  Storage picks the solver: dense arrays
+    up to n = DENSE_THRESHOLD go to LAPACK (``dense_eig``), larger dense
+    arrays and every sparse or banded input to ARPACK (``lanczos``), and a
+    zero or diagonal matrix is read off exactly.  ``symmetric=True``
+    asserts that M is exactly symmetric, as samples of a symmetric pattern
+    are by construction, and skips the check that ``None`` runs.  ``iterations``
     is the ARPACK matvec count and ``rel_error_bound`` the true residual
     ||Xv - lambda v|| / |lambda|.
 
@@ -349,23 +339,20 @@ def spectral_norm(M, tol=1e-6, method=None, *, symmetric=None):
     if not math.isfinite(peak):
         raise DataError("matrix contains NaN or Inf entries")
     n, m = M.shape
-    if method is not None and method not in ("dense_eig", "lanczos"):
-        raise ParameterError(f"unknown method {method!r}")
     if peak == 0.0:
-        return NormResult(0.0, method or "dense_eig", 0, 0.0)
+        return NormResult(0.0, "dense_eig", 0, 0.0)
     banded = isinstance(M, BandedMatrix)
     stored = banded or _issparse(M)
     if symmetric is None:
         symmetric = banded or _is_symmetric(M)
     dim = n if symmetric else n + m
-    if method is None:
-        # a banded matrix is diagonal when its only offset is 0
-        if n == m and (M.offsets.tolist() == [0] if banded else _is_diagonal(M)):
-            # exact: the spectrum of a diagonal matrix is its diagonal
-            return NormResult(peak, "dense_eig", 0, 0.0)
-        method = "lanczos" if stored or max(n, m) > DENSE_THRESHOLD else "dense_eig"
+    # a banded matrix is diagonal when its only offset is 0
+    if n == m and (M.offsets.tolist() == [0] if banded else _is_diagonal(M)):
+        # exact: the spectrum of a diagonal matrix is its diagonal
+        return NormResult(peak, "dense_eig", 0, 0.0)
 
-    if method == "dense_eig" or dim <= 2:  # too small for eigsh(k=1)
+    # dim <= 2 is too small for eigsh(k=1); a banded matrix has n > 2
+    if (not stored and max(n, m) <= DENSE_THRESHOLD) or dim <= 2:
         A = M.toarray() if stored else np.asarray(M, dtype=float)
         if symmetric:
             w = np.linalg.eigvalsh(A)

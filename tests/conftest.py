@@ -2,9 +2,22 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def banded_csr(B):
+    """The canonical CSR of a ``specnorm.BandedMatrix``, the reference its
+    tests compare against: scipy's DIA matrix of the full layout, folded onto
+    n columns.  Each entry is one nonzero term of the fold, so it is exact."""
+    n, width = B.shape[0], B.wrap.shape[0]
+    fold = sp.csr_array((np.ones(width), B.wrap, np.arange(width + 1)), shape=(width, n))
+    X = B._ext().tocsr() @ fold
+    X.sort_indices()
+    return X
 
 
 @pytest.fixture

@@ -206,7 +206,9 @@ def test_criterion_08_tail_domination():
 @pytest.mark.parametrize("name", [n for n, _ in GAUSS_INSTANCES])
 def test_criterion_09_lower_bound(name, gauss_norm_estimates):
     C, est = gauss_norm_estimates[name]
-    assert coeffs.lower_bound_applicable(C, 1.0, 1.0)
+    # the two-sided regime: at least n entries of size sigma_star
+    _, _, b = C.nonzero_entries()
+    assert np.count_nonzero(np.abs(b) >= coeffs.structural_params(C).sigma_star) >= C.rows
     lower = bounds.lower_bound_explicit(C, MC_TRIALS, seed=MC_SEED + 1)
     # constant-1 value sigma + E max|b g|: printed, never asserted (it
     # overshoots E||X|| by sigma_star on diagonal patterns)

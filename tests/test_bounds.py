@@ -6,6 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from specbound import bounds, coeffs, sampling
+from specbound.bounds import EXPLICIT, _check_t, _report, _require_symmetric
+from specbound.coeffs import structural_params
 from specbound.errors import DataError, ParameterError
 
 
@@ -127,29 +129,61 @@ def test_bound_heavy():
         bounds.bound_heavy(C, 0.0)
 
 
+def bound_bounded_entries(C, alpha, entry_moment):
+    """e^(2/alpha) * { 2 sigma + 14 alpha M sqrt(log n) } with
+    M = max_ij entry_moment(i, j, 2*ceil(alpha log n)).
+
+    ``entry_moment(i, j, q)`` must return the L_q norm of xi_ij * b_ij for
+    even q; it is consulted on the stored nonzeros only (zero coefficients
+    contribute zero).  No command evaluates it: it is kept here as the
+    oracle of the general-moment bound.
+    """
+    if alpha < 3:
+        raise ParameterError(f"alpha must be >= 3, got {alpha}")
+    _require_symmetric(C, "bound_bounded_entries")
+    p = structural_params(C)
+    n = C.rows
+    if n == 1:
+        value = math.exp(2.0 / alpha) * 2.0 * p.sigma
+        return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
+    q = 2 * math.ceil(alpha * math.log(n))
+    big_m = 0.0
+    ii, jj, _ = C.nonzero_entries()
+    for i, j in zip(ii, jj):
+        mom = entry_moment(int(i), int(j), q)
+        if not (mom >= 0.0 and math.isfinite(mom)):
+            raise DataError(f"entry_moment({i},{j},{q}) returned {mom!r}")
+        if mom > big_m:
+            big_m = mom
+    value = math.exp(2.0 / alpha) * (
+        2.0 * p.sigma + 14.0 * alpha * big_m * math.sqrt(math.log(n))
+    )
+    return _report("bounded_entries", value, EXPLICIT, C, eps=alpha)
+
+
 def test_bound_bounded_entries_rademacher_and_uniform():
     C = coeffs.wigner(55)  # n ~ e^4
     n, alpha = 55, 3.0
-    rad = bounds.bound_bounded_entries(C, alpha, lambda i, j, q: 1.0)
+    rad = bound_bounded_entries(C, alpha, lambda i, j, q: 1.0)
     expect = math.exp(2 / 3) * (2 * math.sqrt(55) + 14 * 3 * math.sqrt(math.log(n)))
     assert rad.value == pytest.approx(expect)
     assert rad.constant_mode == "explicit"
-    uni = bounds.bound_bounded_entries(C, alpha, lambda i, j, q: math.sqrt(3.0))
+    uni = bound_bounded_entries(C, alpha, lambda i, j, q: math.sqrt(3.0))
     expect_u = math.exp(2 / 3) * (2 * math.sqrt(55) + 14 * 3 * math.sqrt(3) * math.sqrt(math.log(n)))
     assert uni.value == pytest.approx(expect_u)
     # n = 1 drops the log term entirely
-    one = bounds.bound_bounded_entries(coeffs.wigner(1), 3.0, lambda i, j, q: 1.0)
+    one = bound_bounded_entries(coeffs.wigner(1), 3.0, lambda i, j, q: 1.0)
     assert one.value == pytest.approx(math.exp(2 / 3) * 2.0)
 
 
 def test_bound_bounded_entries_validation():
     C = coeffs.wigner(8)
     with pytest.raises(ParameterError):
-        bounds.bound_bounded_entries(C, 2.0, lambda i, j, q: 1.0)
+        bound_bounded_entries(C, 2.0, lambda i, j, q: 1.0)
     with pytest.raises(DataError):
-        bounds.bound_bounded_entries(C, 3.0, lambda i, j, q: -1.0)
+        bound_bounded_entries(C, 3.0, lambda i, j, q: -1.0)
     with pytest.raises(DataError):
-        bounds.bound_bounded_entries(C, 3.0, lambda i, j, q: math.inf)
+        bound_bounded_entries(C, 3.0, lambda i, j, q: math.inf)
 
 
 def test_bound_bounded_entries_skips_stored_zeros():
@@ -159,7 +193,7 @@ def test_bound_bounded_entries_skips_stored_zeros():
     for name, entries in (("csr", stored_zeros), ("dense", np.eye(2))):
         C = coeffs.CoefficientMatrix(entries, "symmetric")
         calls = []
-        bounds.bound_bounded_entries(C, 3.0, lambda i, j, q: calls.append((i, j)) or 1.0)
+        bound_bounded_entries(C, 3.0, lambda i, j, q: calls.append((i, j)) or 1.0)
         seen[name] = calls
     assert stored_zeros.nnz == 4
     assert seen["csr"] == seen["dense"] == [(0, 0), (1, 1)]
@@ -347,10 +381,26 @@ def test_tail_bound_second_form_behaviour():
     assert 0.0 <= v <= 1.0
 
 
+def reference_tail_curves(t, n, sigma, sigma_tilde, sigma_star_tilde, c=8.0):
+    """Comparison curves: (matrix-concentration, matrix-Bernstein), capped at 1.
+
+    concentration: n exp(-t^2 / (8 sigma^2)); Bernstein:
+    n exp(-t^2 / (c (sigma_tilde^2 + sigma_star_tilde t))), default c = 8 by
+    analogy.  Both are plotting references only, and no command prints them.
+    """
+    _check_t(t)
+    if t == 0:
+        return min(1.0, float(n)), min(1.0, float(n))
+    conc = 0.0 if sigma == 0 else min(1.0, n * math.exp(-(t * t) / (8.0 * sigma**2)))
+    denom = c * (sigma_tilde**2 + sigma_star_tilde * t)
+    bern = 0.0 if denom == 0 else min(1.0, n * math.exp(-(t * t) / denom))
+    return conc, bern
+
+
 def test_reference_tail_curves():
-    conc, bern = bounds.reference_tail_curves(0.0, 5, 1.0, 1.0, 1.0)
+    conc, bern = reference_tail_curves(0.0, 5, 1.0, 1.0, 1.0)
     assert conc == 1.0 and bern == 1.0
-    conc, _ = bounds.reference_tail_curves(4.0, 1, 1.0, 1.0, 1.0)
+    conc, _ = reference_tail_curves(4.0, 1, 1.0, 1.0, 1.0)
     assert conc == pytest.approx(math.exp(-2.0))
 
 

@@ -1,13 +1,14 @@
 import argparse
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from specbound import bounds, cli
+from specbound import bounds, cli, coeffs
 from specbound.cli import RunManifest, main, parse_pattern, validate
 from specbound.errors import ParameterError
 
@@ -486,6 +487,48 @@ def test_validate_refuses_what_the_run_refuses(tmp_path, capsys, monkeypatch, ma
     code, out, err = run_cli(capsys, manifest["command"], "--manifest", str(path))
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "manifest, error, message",
+    [
+        ({"command": "norm", "pattern": "band:5,9"}, "ParameterError", "band requires 0 <= k < n, got k=9, n=5"),
+        ({"command": "report", "pattern": "wigner:0"}, "ParameterError", "dimension must be a positive integer, got 0"),
+        ({"command": "bounds", "matrix_file": "missing.csv"}, "FileNotFoundError",
+         "[Errno 2] No such file or directory: 'missing.csv'"),
+    ],
+    ids=["norm", "report", "bounds"],
+)
+def test_validate_loads_the_pattern_of_every_command(tmp_path, capsys, monkeypatch, manifest, error, message):
+    # the run fails with the loader's own error; validate reports its message
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps(manifest))
+    code, out, _ = run_cli(capsys, "validate", "--manifest", "m.json")
+    assert code == 0
+    violations = [f"cannot load pattern: {message}"]
+    assert json.loads(out) == {"command": manifest["command"], "valid": False, "violations": violations}
+    code, out, err = run_cli(capsys, manifest["command"], "--manifest", "m.json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("moments", "verify", "--pattern", "wigner:5", "--p", "2"), ("report", "--pattern", "band:37,2", "--trials", "4")],
+    ids=["moments_verify", "report"],
+)
+def test_a_run_builds_its_pattern_once(capsys, monkeypatch, argv):
+    # validate loads the pattern and the command runs on that one
+    built = []
+    init = coeffs.CoefficientMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(coeffs.CoefficientMatrix, "__init__", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])

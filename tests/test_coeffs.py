@@ -287,21 +287,6 @@ def test_lp_norm_nonincreasing_in_p():
     assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(len(vals) - 1))
 
 
-def test_large_entry_count_examples():
-    assert coeffs.large_entry_count(coeffs.wigner(4), 1.0) == 16
-    assert coeffs.large_entry_count(coeffs.band(7, 1), 1.0) == 19
-    assert coeffs.large_entry_count(coeffs.diagonal(5), 0.5) == 5
-    zero = coeffs.CoefficientMatrix(np.zeros((3, 3)), "symmetric")
-    with pytest.raises(ParameterError):
-        coeffs.large_entry_count(zero, 1.0)
-
-
-def test_lower_bound_applicable_examples():
-    assert coeffs.lower_bound_applicable(coeffs.band(1024, 8), 1.0, 1.0)
-    assert not coeffs.lower_bound_applicable(coeffs.single_entry(1024), 1.0, 1.0)
-    assert coeffs.lower_bound_applicable(coeffs.wigner(16), 1.0, 2.0)  # 256 >= 256
-
-
 def test_sigma_sandwich_invariants():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -657,10 +642,9 @@ def test_sparse_csv_roundtrip_mirrors_lower_triangle(tmp_path):
     with pytest.raises(DataError):
         coeffs.load_sparse_csv(path, kind="symmetric")  # lower triangle forbidden
     path.write_text("")
-    with pytest.raises(DataError, match="empty matrix file"):
-        coeffs.load_sparse_csv(path, kind="symmetric")  # no triples, no shape
-    Z = coeffs.load_sparse_csv(path, kind="rectangular", shape=(3, 5))
-    assert Z.data.shape == (3, 5) and Z.nnz == 0
+    for kind in ("symmetric", "rectangular"):
+        with pytest.raises(DataError, match="empty matrix file"):
+            coeffs.load_sparse_csv(path, kind=kind)  # no triples, so no shape
 
 
 def test_load_dense_csv_symmetric_requires_symmetry(tmp_path):

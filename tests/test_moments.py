@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 
 from specbound import coeffs, moments
 from specbound.errors import ParameterError, SizeError
+from specbound.moments import _adjacency, _gaussian_weight, _unit_sigma_star
 from specbound.sampling import GAUSSIAN, RADEMACHER
 
 
@@ -294,27 +296,83 @@ def test_moment_table_exact_ints():
         assert all(type(v) is int for v in table)
 
 
+# -- oracles that no command reaches, kept beside their tests -----------------
+
+WEIGHT_ENUM_GUARD = 10**7  # guard on n^(m-1) for shape weight sums
+
+
+def rect_trace_moment(r, rprime, p):
+    """E Tr[(Y Y^T)^p] for the r x r' all-Gaussian matrix, exact.
+
+    Sums r (r-1) ... (r-m2+1) * r' (r'-1) ... (r'-m1+1) * moment products
+    over bipartite even-cycle shapes; valid for r > p/2 and r' > p/2.
+    """
+    if r < 1 or rprime < 1 or p < 1:
+        raise ParameterError("r, r' and p must be >= 1")
+    if not (r > p / 2 and rprime > p / 2):
+        raise ParameterError(f"requires r > p/2 and r' > p/2, got r={r}, r'={rprime}, p={p}")
+    return sum(
+        math.perm(r, s.m2) * math.perm(rprime, s.m1) * _gaussian_weight(s)
+        for s in moments.enumerate_bipartite_shapes(p)
+    )
+
+
+def shape_weight_check(C, s, u):
+    """(lhs, rhs) of the per-shape coefficient-sum bound.
+
+    lhs sums the coefficient product over all cycles with shape ``s``
+    starting at vertex ``u`` (distinct vertices, injectively realized);
+    rhs is sigma^(2 (m(s) - 1)).  Requires a symmetric pattern with
+    sigma_star <= 1; the caller asserts lhs <= rhs.
+    """
+    if C.kind != "symmetric":
+        raise ParameterError("shape weights are defined for symmetric patterns")
+    params = _unit_sigma_star(C)
+    n = C.rows
+    m = s.m
+    if n ** (m - 1) > WEIGHT_ENUM_GUARD:
+        raise SizeError(f"n^(m-1) = {n}^{m - 1} exceeds the guard {WEIGHT_ENUM_GUARD}")
+    if not 0 <= u < n:
+        raise ParameterError(f"start vertex {u} out of range")
+    adj = _adjacency(C)
+    L = len(s.seq)
+    steps = [(s.seq[idx] - 1, s.seq[(idx + 1) % L] - 1) for idx in range(L)]
+    others = [v for v in range(n) if v != u]
+    total = 0.0
+    # injective maps of the labels 2..m into the other vertices, in lexicographic order
+    for rest in itertools.permutations(others, m - 1):
+        phi = (u, *rest)
+        prod = 1.0
+        for a, b in steps:
+            prod *= adj[phi[a]].get(phi[b], 0.0)
+            if prod == 0.0:
+                break
+        total += prod  # adding a zero product leaves total's bits unchanged
+    rhs = params.sigma ** (2 * (m - 1))
+    return total, rhs
+
+
 def test_rect_trace_moment_examples():
     for r, rp in [(1, 1), (2, 3), (4, 2)]:
-        assert moments.rect_trace_moment(r, rp, 1) == r * rp
-    assert moments.rect_trace_moment(2, 3, 2) == oracle_rect_trace_moment(2, 3, 2)
-    assert moments.rect_trace_moment(3, 3, 2) == oracle_rect_trace_moment(3, 3, 2)
-    assert moments.rect_trace_moment(2, 2, 3) == oracle_rect_trace_moment(2, 2, 3)
+        assert rect_trace_moment(r, rp, 1) == r * rp
+    assert rect_trace_moment(2, 3, 2) == oracle_rect_trace_moment(2, 3, 2)
+    assert rect_trace_moment(3, 3, 2) == oracle_rect_trace_moment(3, 3, 2)
+    assert rect_trace_moment(2, 2, 3) == oracle_rect_trace_moment(2, 2, 3)
     with pytest.raises(ParameterError):
-        moments.rect_trace_moment(1, 3, 2)  # needs r > p/2
+        rect_trace_moment(1, 3, 2)  # needs r > p/2
 
 
 def test_shape_weight_check_wigner():
     n = 6
     C = coeffs.wigner(n)
     edge = next(s for s in moments.enumerate_shapes(1) if s.seq == (1, 2))
-    lhs, rhs = moments.shape_weight_check(C, edge, 0)
+    lhs, rhs = shape_weight_check(C, edge, 0)
     # distinct-vertex cycles give n-1 unit terms against sigma^2 = n
     assert lhs == pytest.approx(n - 1)
     assert rhs == pytest.approx(n)
     assert lhs <= rhs
     loop = next(s for s in moments.enumerate_shapes(1) if s.seq == (1, 1))
-    lhs, rhs = moments.shape_weight_check(C, loop, 0)
+    lhs, rhs = shape_weight_check(C, loop, 0)
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
 
 
@@ -326,7 +384,7 @@ def test_shape_weight_check_exhaustive_small():
     for p in (1, 2, 3):
         for s in moments.enumerate_shapes(p):
             for u in range(5):
-                lhs, rhs = moments.shape_weight_check(C, s, u)
+                lhs, rhs = shape_weight_check(C, s, u)
                 assert lhs <= rhs + 1e-9, (s.seq, u)
 
 
@@ -335,14 +393,14 @@ def test_shape_weight_check_rejects_rectangular(shape):
     C = coeffs.CoefficientMatrix(np.ones(shape), "rectangular")
     s = next(s for s in moments.enumerate_shapes(2) if s.seq == (1, 2, 1, 3))
     with pytest.raises(ParameterError):
-        moments.shape_weight_check(C, s, 0)
+        shape_weight_check(C, s, 0)
 
 
 def test_shape_weight_check_requires_small_sigma_star():
     C = coeffs.CoefficientMatrix(2.0 * np.ones((3, 3)), "symmetric")
     s = moments.enumerate_shapes(1)[0]
     with pytest.raises(ParameterError):
-        moments.shape_weight_check(C, s, 0)
+        shape_weight_check(C, s, 0)
 
 
 def test_verify_comparison_identity_p1():
@@ -406,7 +464,7 @@ def test_moment_engines_never_densify(monkeypatch, storage):
     expected = (
         moments.trace_moment_bruteforce(C, 3, GAUSSIAN),
         moments.verify_comparison(C, 3),
-        moments.shape_weight_check(C, s, 1),
+        shape_weight_check(C, s, 1),
     )
 
     def densify(self):
@@ -415,7 +473,7 @@ def test_moment_engines_never_densify(monkeypatch, storage):
     monkeypatch.setattr(coeffs.CoefficientMatrix, "toarray", densify)
     assert moments.trace_moment_bruteforce(C, 3, GAUSSIAN) == expected[0]
     assert moments.verify_comparison(C, 3) == expected[1]
-    assert moments.shape_weight_check(C, s, 1) == expected[2]
+    assert shape_weight_check(C, s, 1) == expected[2]
 
 
 def test_verify_comparison_memory_follows_the_nonzeros():

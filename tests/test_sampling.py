@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import banded_csr
 from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import ParameterError
 from specbound.sampling import (
@@ -417,7 +418,7 @@ def test_banded_sample_equals_the_csr_sample(build):
             n, lo = B.shape[0], int(B.offsets[0])
             stored = [want[k, s - lo : s - lo + n] for k, s in enumerate(B.offsets.tolist()) if s >= 0]
             assert np.array_equal(B.data.view(np.int64), np.array(stored).view(np.int64))
-            Y = B.tocsr()
+            Y = banded_csr(B)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(Y, name), getattr(X, name)), name
     # the custom law sees the same size on both paths
@@ -463,12 +464,11 @@ def test_banded_sums_equal_scipy_dia_on_the_full_layout(name):
 
 def test_banded_max_row_norm_makes_no_csr_copy(monkeypatch):
     B = sampling.trial_sample(coeffs.band_cyclic(300, 3), GAUSSIAN, SeedSpec(9, 0))
-    want = math.sqrt((B.toarray() ** 2).sum(axis=1).max())
+    want = math.sqrt((banded_csr(B).toarray() ** 2).sum(axis=1).max())
 
     def refuse(self):
         raise AssertionError("tocsr called")
 
-    monkeypatch.setattr(specnorm.BandedMatrix, "tocsr", refuse)
     monkeypatch.setattr(sp.dia_array, "tocsr", refuse)
     assert specnorm.max_row_norm(B) == pytest.approx(want, rel=1e-15, abs=0)
 
@@ -483,6 +483,11 @@ def test_half_offset_layout():
     assert holes.tolist() == [1, 6] and b.tolist() == [1.0, 1.5, 1.75, 2.0]
 
 
+def _anti_diagonal_2x2():
+    # one offset on two slots: it would fit a banded layout, but n = 2
+    return coeffs.CoefficientMatrix(sp.csr_array(np.array([[0.0, 2.0], [2.0, 0.0]])), "symmetric")
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -491,8 +496,9 @@ def test_half_offset_layout():
         lambda: coeffs.single_entry(30),
         lambda: coeffs.band(64, 3),
         _rect_sparse_pattern,
+        _anti_diagonal_2x2,
     ],
-    ids=["block_diagonal", "regular_random", "single_entry", "band_dense", "rect_sparse"],
+    ids=["block_diagonal", "regular_random", "single_entry", "band_dense", "rect_sparse", "sparse_n2"],
 )
 def test_other_patterns_keep_csr(build):
     # a trial of a pattern without a banded layout is its sample_matrix
@@ -508,6 +514,15 @@ def test_other_patterns_keep_csr(build):
                 assert got[name].dtype == want[name].dtype, name
                 assert np.array_equal(got[name].view(np.uint8), want[name].view(np.uint8)), name
     assert C._banded_sampling_plan is None
+
+
+def test_a_two_by_two_sparse_trial_is_solved_by_lapack():
+    # an operator of dim <= 2 is too small for ARPACK, so the solver needs
+    # the matrix as an array: the trial must be a CSR sample, not banded
+    X = sampling.trial_sample(_anti_diagonal_2x2(), RADEMACHER, SeedSpec(1, 0))
+    assert sp.issparse(X)
+    r = specnorm.spectral_norm(X)
+    assert r.method == "dense_eig" and r.value == 2.0
 
 
 def test_banded_plan_compiled_once(monkeypatch):

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from conftest import banded_csr
 from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import DataError, NonConvergenceError, ParameterError, SizeError
 from specbound.specnorm import eigenvalues_all, max_row_norm, spectral_norm
@@ -55,10 +56,11 @@ def test_all_ones_norm_is_n():
     assert spectral_norm(np.ones((3, 3))).value == pytest.approx(3.0)
 
 
-def test_lanczos_matches_dense_eigensolver():
+def test_lanczos_matches_dense_eigensolver(monkeypatch):
     a = _rand_sym(50, 0)
     dense = spectral_norm(a).value
-    lz = spectral_norm(a, tol=1e-10, method="lanczos")
+    monkeypatch.setattr(specnorm, "DENSE_THRESHOLD", 49)
+    lz = spectral_norm(a, tol=1e-10)
     assert lz.method == "lanczos"
     assert lz.value == pytest.approx(dense, rel=1e-8)
     assert lz.rel_error_bound <= 1e-10
@@ -78,9 +80,29 @@ def test_lanczos_matches_arpack_on_large_sparse():
     assert mine.value == pytest.approx(oracle, rel=1e-6)
 
 
-def test_power_method_is_rejected():
-    with pytest.raises(ParameterError):
-        spectral_norm(_rand_sym(30, 1), method="power")
+@pytest.mark.parametrize(
+    "build, method",
+    [
+        (lambda: _rand_sym(40, 1), "dense_eig"),  # n at DENSE_THRESHOLD
+        (lambda: _rand_sym(41, 1), "lanczos"),  # n above it
+        (lambda: np.ones((40, 30)), "dense_eig"),
+        (lambda: np.ones((30, 41)), "lanczos"),  # max(n, m) above it
+        (lambda: sp.csr_array(_rand_sym(30, 1)), "lanczos"),  # sparse, whatever its size
+        (lambda: _banded_sample(), "lanczos"),
+        (lambda: sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])), "dense_eig"),  # too small for ARPACK
+        (lambda: np.zeros((41, 41)), "dense_eig"),  # zero: no solve, whatever the storage
+        (lambda: sp.csr_array((30, 41)), "dense_eig"),
+    ],
+)
+def test_dispatch_follows_storage_and_size(monkeypatch, build, method):
+    # no caller picks the solver: storage and DENSE_THRESHOLD do
+    monkeypatch.setattr(specnorm, "DENSE_THRESHOLD", 40)
+    X = build()
+    r = spectral_norm(X)
+    assert r.method == method
+    assert (r.iterations > 0) == (method == "lanczos")
+    A = banded_csr(X) if isinstance(X, specnorm.BandedMatrix) else X
+    assert r.value == pytest.approx(np.linalg.norm(A.toarray() if sp.issparse(A) else A, 2), rel=1e-6)
 
 
 def _rand_sparse(n, m, seed):
@@ -142,7 +164,7 @@ def test_dilation_matches_rectangular_norm():
     dil = np.block([[np.zeros((8, 8)), X], [X.T, np.zeros((17, 17))]])
     assert spectral_norm(dil).value == pytest.approx(direct, rel=1e-10)
     # iterative path goes through the dilation internally
-    it = spectral_norm(sp.csr_array(X), method="lanczos", tol=1e-9)
+    it = spectral_norm(sp.csr_array(X), tol=1e-9)
     assert it.value == pytest.approx(direct, rel=1e-7)
 
 
@@ -200,8 +222,6 @@ def test_bad_inputs():
                 spectral_norm(M)
     with pytest.raises(ParameterError):
         spectral_norm(np.eye(2), tol=0.0)
-    with pytest.raises(ParameterError):
-        spectral_norm(np.eye(2), method="magic")
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
@@ -251,8 +271,9 @@ def test_arpack_precision_follows_tol(monkeypatch, dense, tol, dtype):
         return real_eigsh(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", watched)
+    monkeypatch.setattr(specnorm, "DENSE_THRESHOLD", 99)  # the dense 100 x 100 goes to ARPACK
     X = _rand_sym(100, 6) if dense else _band_sample()
-    r = spectral_norm(X, tol=tol, method="lanczos")
+    r = spectral_norm(X, tol=tol)
     assert seen == [(dtype, dtype)]
     assert type(r.value) is float and type(r.rel_error_bound) is float
 
@@ -339,13 +360,16 @@ def _weyl_cases():
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
 @pytest.mark.parametrize("case", sorted(_weyl_cases()))
-def test_rel_error_bound_is_a_guarantee(case, tol):
+def test_rel_error_bound_is_a_guarantee(monkeypatch, case, tol):
     # Weyl: some eigenvalue lies within ||Xv - lam v|| of lam, so the
     # reported bound must cover the distance to the exact norm at both
     # iteration precisions
     X = _weyl_cases()[case]()
-    r = spectral_norm(X, tol=tol, method="lanczos")
+    monkeypatch.setattr(specnorm, "DENSE_THRESHOLD", 0)  # the dense case goes to ARPACK too
+    r = spectral_norm(X, tol=tol)
     assert r.method == "lanczos" and r.iterations > 0
+    if isinstance(X, specnorm.BandedMatrix):
+        X = banded_csr(X)
     A = X.toarray() if hasattr(X, "toarray") else X
     if case == "rectangular":
         ref = np.linalg.svd(A, compute_uv=False)[0]
@@ -354,11 +378,12 @@ def test_rel_error_bound_is_a_guarantee(case, tol):
     assert abs(r.value - ref) <= r.rel_error_bound * r.value
 
 
-def test_dense_lanczos_solve_allocates_no_square_copy():
+def test_dense_lanczos_solve_allocates_no_square_copy(monkeypatch):
     A = _rand_sym(1500, 5)
+    monkeypatch.setattr(specnorm, "DENSE_THRESHOLD", 1499)
     tracemalloc.start()
     try:
-        r = spectral_norm(A, tol=1e-4, method="lanczos", symmetric=True)
+        r = spectral_norm(A, tol=1e-4, symmetric=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -395,14 +420,12 @@ def _banded_sample(n=400):
 
 def test_banded_matrix_is_its_csr_sample():
     X, B = _band_sample(), _banded_sample()
-    Y = B.tocsr()
+    Y = banded_csr(B)
     assert Y.has_canonical_format and B.shape == X.shape
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(Y, name), getattr(X, name)), name
     z = np.random.default_rng(3).standard_normal(400)
     assert np.allclose(B @ z, X @ z, rtol=0, atol=1e-12)
-    # LAPACK sees the same dense matrix either way
-    assert spectral_norm(B, method="dense_eig") == spectral_norm(X, method="dense_eig")
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6])
