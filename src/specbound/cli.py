@@ -216,6 +216,8 @@ def _checked(m):
             violations.append(
                 "moments verify needs a pattern" if verify else f"{m.command} needs a pattern or matrix file"
             )
+        elif m.pattern is not None and m.matrix_file is not None:
+            violations.append("give a pattern or a matrix file, not both")
         else:
             try:
                 C = _load_matrix(m)

@@ -10,7 +10,11 @@ stores exactly its nonzeros, so that every storage draws one variate per
 nonzero coefficient (see ``sampling``).  A pattern owns
 its storage and every buffer of it is read-only (a CSR's data, indices and
 indptr alike), so it never changes after construction, whatever the caller
-does to the matrix it was made from.
+does to the matrix it was made from.  A pattern whose coefficients are all
+equal bit for bit (a CSR's stored values, a dense array's entries) keeps
+them once, as a read-only ``np.broadcast_to`` view of the value: ``data``
+is still a CSR or an ndarray with those values, but a 0/1 band_cyclic(2^14,
+46) holds its int32 indices and indptr, not 12 MB of ones.
 
 The parameter-only builders (wigner, diagonal, band, band_cyclic,
 block_diagonal, single_entry, log_decay_diagonal) return the live pattern of
@@ -56,7 +60,9 @@ class CoefficientMatrix:
     """Immutable coefficient pattern, symmetric or rectangular.
 
     The constructor neither edits nor keeps ``entries``: the pattern stores
-    its own read-only copy.
+    its own read-only copy, canonical, exactly mirrored if symmetric, and
+    with coefficients that are all equal stored once (a stride-0 broadcast
+    of their value, whose ``nbytes`` still counts every entry).
     """
 
     def __init__(self, entries, kind, sym_tol=0.0):
@@ -75,6 +81,7 @@ class CoefficientMatrix:
             raise ParameterError("dimensions must be >= 1")
         if values.size and not np.all(np.isfinite(values)):
             raise DataError("entries must be finite")
+        data = _stored_once(data)
         if kind == "symmetric":
             if data.shape[0] != data.shape[1]:
                 raise ParameterError("symmetric pattern must be square")
@@ -153,44 +160,83 @@ def _canonical_csr(M, copy=False):
     return data
 
 
+def _stored_once(data):
+    """``data`` with its coefficients kept as one read-only broadcast of
+    their common value when all are equal bit for bit (a CSR's stored
+    values, a dense array's entries), else ``data`` itself.
+
+    The broadcast is made from a copy of the value, so it shares nothing
+    with the caller even when ``data``'s values are a broadcast already.
+    """
+    sparse = _issparse(data)
+    values = data.data if sparse else data
+    if not values.size:
+        return data
+    if any(values.strides):
+        bits = values.view(np.int64)  # bitwise, so that -0.0 and 0.0 differ too
+        if bits.min() != bits.max():
+            return data
+    once = np.broadcast_to(values.flat[0], values.shape)
+    return type(data)((once, data.indices, data.indptr), shape=data.shape) if sparse else once
+
+
+def _transpose(A):
+    """The transpose of A's CSR structure, each slot holding the A slot it mirrors.
+
+    scipy's O(nnz) CSR -> CSC conversion of slot ids lists the slots in
+    (column, row) order, the row-major slot order of the transpose; its data
+    is what argsort(A.indices, kind="stable") gives, in A's index dtype.
+    """
+    import scipy.sparse as sp
+
+    ids = np.arange(A.indices.shape[0], dtype=A.indices.dtype)
+    return sp.csr_array((ids, A.indices, A.indptr), shape=A.shape).T.tocsr()
+
+
 def _mirrored_exactly(data, sym_tol):
     """A square pattern that is symmetric within ``sym_tol``, stored exactly mirrored.
 
     A pattern whose two triangles already agree bit for bit is kept: a dense
-    one as it is, a sparse one as the transpose the check builds, which has
-    the same structure and value bits and, unlike ``data``, shares no buffer
-    with the caller's matrix.  Otherwise the gap max |b_ij - b_ji| is checked
-    against ``sym_tol`` and the pattern rebuilt from its upper triangle, so
-    that every b_ji is b_ij itself: a one-sided entry is mirrored (above the
-    diagonal) or dropped (below it).  Sampling relies on this: a sample draws
-    one variate per nonzero b_ij with i <= j and multiplies the mirrored
-    variates by the stored values.
+    one as it is, a sparse one on the index arrays of the transpose that the
+    check builds of its slot ids (same structure, and unlike ``data``'s
+    shared with no caller) with values of its own: ``data``'s values read
+    through the mirror map, or the broadcast of a pattern whose values are
+    all equal, which is mirrored whatever the map.  Otherwise the gap
+    max |b_ij - b_ji| is checked against ``sym_tol`` and the pattern rebuilt
+    from its upper triangle, so that every b_ji is b_ij itself: a one-sided
+    entry is mirrored (above the diagonal) or dropped (below it).  Sampling
+    relies on this: a sample draws one variate per nonzero b_ij with i <= j
+    and multiplies the mirrored variates by the stored values.
     """
     dense = not _issparse(data)
     if dense:
         bits = data.view(np.int64)  # bitwise, so that -0.0 and 0.0 differ too
-        if np.array_equal(bits, bits.T):
+        if not any(data.strides) or np.array_equal(bits, bits.T):  # a broadcast is symmetric
             return data
         gap = np.abs(data - data.T).max()
     else:
-        T = data.T.tocsr()
+        T = _transpose(data)
         if np.array_equal(T.indptr, data.indptr) and np.array_equal(T.indices, data.indices):
-            if np.array_equal(T.data.view(np.int64), data.data.view(np.int64)):
-                return T
-            # same structure: the gap is slot by slot, in T's buffer
-            np.subtract(data.data, T.data, out=T.data)
-            gap = np.abs(T.data, out=T.data).max()
+            values = data.data
+            # b_ji in the slot of b_ij; a broadcast is mirrored whatever the map
+            mirror = values[T.data] if any(values.strides) else values
+            if mirror is values or np.array_equal(mirror.view(np.int64), values.view(np.int64)):
+                return type(data)((mirror, T.indices, T.indptr), shape=data.shape)
+            # same structure: the gap is slot by slot, in the mirrored copy
+            np.subtract(values, mirror, out=mirror)
+            gap = np.abs(mirror, out=mirror).max()
+            del mirror
         else:
             # a nonzero whose mirror is not stored
-            gap = abs(data - T).data.max()
+            gap = abs(data - data.T).data.max()
         del T
     if gap > sym_tol:
         raise DataError(f"pattern is not symmetric (max asymmetry {gap:g} > tol {sym_tol:g})")
     if dense:
-        return np.where(np.tri(data.shape[0], k=-1, dtype=bool), data.T, data)
+        return _stored_once(np.where(np.tri(data.shape[0], k=-1, dtype=bool), data.T, data))
     import scipy.sparse as sp
 
-    return _canonical_csr(sp.triu(data, format="csr") + sp.triu(data, k=1, format="csr").T)
+    return _stored_once(_canonical_csr(sp.triu(data, format="csr") + sp.triu(data, k=1, format="csr").T))
 
 
 def _sparse_fill(nnz, n, m):
@@ -257,7 +303,8 @@ def _check_dim(n):
 
 @_interned
 def wigner(n):
-    """All-ones n x n symmetric pattern; the constructor's copy is its only n x n array."""
+    """All-ones n x n symmetric pattern, stored as one broadcast 1.0; the
+    constructor's transient copy is the only n x n array its build makes."""
     n = _check_dim(n)
     return CoefficientMatrix(np.broadcast_to(1.0, (n, n)), "symmetric")
 
@@ -275,7 +322,7 @@ def _diagonal_pattern(vals):
 @_interned
 def diagonal(n):
     """Identity pattern."""
-    return _diagonal_pattern(np.ones(_check_dim(n)))
+    return _diagonal_pattern(np.broadcast_to(1.0, _check_dim(n)))
 
 
 def _band_mask(n, k):
@@ -294,6 +341,7 @@ def band(n, k):
         return CoefficientMatrix(_band_mask(n, k), "symmetric")
     import scipy.sparse as sp
 
+    # scalar diagonals: scipy broadcasts each 1.0 along its diagonal
     mat = sp.diags_array([1.0] * (2 * k + 1), offsets=range(-k, k + 1), shape=(n, n), format="csr")
     return CoefficientMatrix(mat, "symmetric")
 
@@ -326,7 +374,7 @@ def band_cyclic(n, k):
     cols = np.arange(n, dtype=idx)[:, None] + np.arange(-k, k + 1, dtype=idx)
     cols %= n
     cols.sort(axis=1)
-    mat = sp.csr_array((np.ones(n * w), cols.ravel(), np.arange(0, n * w + 1, w, dtype=idx)), shape=(n, n))
+    mat = sp.csr_array((np.broadcast_to(1.0, n * w), cols.ravel(), np.arange(0, n * w + 1, w, dtype=idx)), shape=(n, n))
     return CoefficientMatrix(mat, "symmetric")
 
 
@@ -343,14 +391,14 @@ def block_diagonal(n, k):
     import scipy.sparse as sp
 
     # I_(n/k) (x) J_k
-    return CoefficientMatrix(sp.kron(sp.eye_array(n // k), np.ones((k, k)), format="csr"), "symmetric")
+    return CoefficientMatrix(sp.kron(sp.eye_array(n // k), np.broadcast_to(1.0, (k, k)), format="csr"), "symmetric")
 
 
 @_interned
 def single_entry(n):
     """b_11 = 1, all other entries zero."""
     n = _check_dim(n)
-    return _pack(np.array([0]), np.array([0]), np.ones(1), n, n, "symmetric")
+    return _pack(np.array([0]), np.array([0]), np.broadcast_to(1.0, 1), n, n, "symmetric")
 
 
 @_interned
@@ -422,8 +470,8 @@ def lp_entrywise_norm(C, p):
     """Entrywise l_p norm over all (i, j) pairs (both triangles counted)."""
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
-    A = C.data.data if C.is_sparse else np.asarray(C.data).ravel()
-    vals = A[A != 0]  # the one nnz-sized buffer: the rest is in place
+    A = C.data.data if C.is_sparse else C.data
+    vals = A[A != 0]  # the one nnz-sized buffer (row-major): the rest is in place
     np.abs(vals, out=vals)
     if vals.size == 0:
         return 0.0

@@ -94,7 +94,7 @@ def regular_random_pattern(n, k, seed):
     except (nx.NetworkXError, ValueError) as exc:
         raise ParameterError(f"infeasible k-regular pattern (n={n}, k={k}): {exc}") from None
     edges = np.array(g.edges(), dtype=np.int64).reshape(-1, 2)  # edge (a, b) sets b_ab and b_ba
-    return coeffs_mod._pack(edges.ravel(), edges[:, ::-1].ravel(), np.ones(edges.size), n, n, "symmetric")
+    return coeffs_mod._pack(edges.ravel(), edges[:, ::-1].ravel(), np.broadcast_to(1.0, edges.size), n, n, "symmetric")
 
 
 def resolve_k_rule(rule, n):

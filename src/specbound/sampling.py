@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coeffs import _cached
+from .coeffs import _cached, _transpose
 from .errors import ParameterError
 from .specnorm import BandedMatrix
 
@@ -184,19 +184,6 @@ def distribution_moment(dist, order):
     raise ParameterError("moments of a custom distribution are not known exactly")
 
 
-def _transpose(A):
-    """The transpose of A's CSR structure, each slot holding the A slot it mirrors.
-
-    scipy's O(nnz) CSR -> CSC conversion of slot ids lists the slots in
-    (column, row) order, the row-major slot order of the transpose; its data
-    is what argsort(A.indices, kind="stable") gives, in A's index dtype.
-    """
-    import scipy.sparse as sp
-
-    ids = np.arange(A.indices.shape[0], dtype=A.indices.dtype)
-    return sp.csr_array((ids, A.indices, A.indptr), shape=A.shape).T.tocsr()
-
-
 def _rows(A):
     """Row of each CSR slot."""
     return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
@@ -331,8 +318,12 @@ def _banded_plan(C):
     n = A.shape[0]
     half = n // 2
     present = np.zeros(n, dtype=bool)
+    # stored diagonal slots, from the indices: scipy's A.diagonal() would
+    # first copy a broadcast's values into an nnz-sized array
+    diagonal = 0
     for _, i, j in _row_blocks(A):
         present[(j - i) % n] = True
+        diagonal += np.count_nonzero(i == j)
     cyclic = np.flatnonzero(present)
     stored = cyclic[cyclic <= half]
     offsets = np.concatenate([cyclic[cyclic > half] - n, stored])
@@ -340,7 +331,7 @@ def _banded_plan(C):
         return None
     row_of = np.empty(half + 1, dtype=np.intp)  # gather row of each stored offset
     row_of[stored] = np.arange(stored.shape[0])
-    upper = (A.nnz + np.count_nonzero(A.diagonal())) // 2
+    upper = (A.nnz + diagonal) // 2
     gather = np.full((stored.shape[0], n), -1, dtype=np.int32 if upper < 2**31 else np.intp)
     flat = gather.reshape(-1)
     unit = A.data.min() == A.data.max() == 1.0

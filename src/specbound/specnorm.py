@@ -359,7 +359,7 @@ def spectral_norm(M, tol=1e-6, *, symmetric=None):
             value = float(max(-w[0], w[-1]))
         else:
             value = float(np.linalg.svd(A, compute_uv=False)[0])
-        return NormResult(value, "dense_eig", 0, np.finfo(float).eps * max(n, m))
+        return NormResult(value, "dense_eig", 0, float(np.finfo(float).eps) * max(n, m))
 
     return _arpack_norm(M, symmetric, tol, peak)
 

@@ -20,6 +20,14 @@ def banded_csr(B):
     return X
 
 
+def owned_nbytes(M):
+    """Bytes that an array, or a CSR's data, indices and indptr, store of
+    their own.  A stride-0 buffer counts 0: its ``nbytes`` counts every
+    element of the one value it stores."""
+    buffers = (M.data, M.indices, M.indptr) if sp.issparse(M) else (M,)
+    return sum(b.nbytes for b in buffers if any(b.strides))
+
+
 @pytest.fixture
 def fresh_python():
     """Run ``python *args`` in a fresh interpreter that imports specbound from src/.

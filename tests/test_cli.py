@@ -458,6 +458,17 @@ def test_validate_refuses_a_phase_pattern_other_than_band_or_regular_random(tmp_
     assert json.loads(err) == {"error": "ParameterError", "message": message}
 
 
+def test_validate_refuses_a_pattern_and_a_matrix_file_together(tmp_path, capsys):
+    # the file is never read, so a missing one reports no load error
+    message = "give a pattern or a matrix file, not both"
+    missing = str(tmp_path / "missing.csv")
+    m = RunManifest(command="bounds", pattern="wigner:4", matrix_file=missing)
+    assert validate(m)["violations"] == [message]
+    code, out, err = run_cli(capsys, "bounds", "--pattern", "wigner:4", "--matrix-file", missing)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
 @pytest.mark.parametrize(
     "manifest, message",
     [

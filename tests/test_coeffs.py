@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specbound import coeffs, sampling
+from conftest import owned_nbytes
+from specbound import coeffs, experiments, sampling
 from specbound.errors import DataError, ParameterError
 from specbound.sampling import GAUSSIAN, SeedSpec, sample_matrix
 
@@ -378,6 +379,20 @@ SYMMETRY_CASES = {
     "random_int32": (_random_near_symmetric(60, 1, 1e-3, np.int32), 1e-3),
     "random_int64": (_random_near_symmetric(60, 2, 1e-3, np.int64), 1e-3),
     "random_exact": (_random_near_symmetric(60, 3, 0.0, np.int64), 0.0),
+    # equal values, which the pattern stores once: the gap and the rebuild
+    # are those of the values themselves
+    "ones_one_sided_entry": (_csr([0, 0, 1, 1], [0, 1, 1, 2], [1.0] * 4, 3), 0.0),
+    "ones_one_sided_entry_within_tol": (_csr([0, 0, 1, 1], [0, 1, 1, 2], [1.0] * 4, 3), 1.0),
+    "broadcast_one_sided_entry": (
+        sp.csr_array((np.broadcast_to(2.0, 3), np.array([1, 1, 2]), np.array([0, 1, 2, 3])), shape=(3, 3)),
+        0.0,
+    ),
+    "broadcast_one_sided_entry_within_tol": (
+        sp.csr_array((np.broadcast_to(2.0, 3), np.array([1, 1, 2]), np.array([0, 1, 2, 3])), shape=(3, 3)),
+        2.0,
+    ),
+    "ones_values_differ": (_csr([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.5, 1.0], 2), 0.0),
+    "ones_values_differ_within_tol": (_csr([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0, 1.5, 1.0], 2), 0.5),
 }
 
 
@@ -443,8 +458,9 @@ def test_symmetry_check_of_a_matrix_file(tmp_path):
 
 
 def test_already_canonical_int32_csr_is_wrapped_without_copies():
-    # no copy beyond the one the pattern keeps: the symmetry check's
-    # transpose becomes the pattern, with int32 indices, sharing nothing with M
+    # no copy beyond the index arrays the pattern keeps: the symmetry check's
+    # transpose of slot ids gives the pattern its int32 indices, and the
+    # ones are stored once, so that nothing is shared with M
     A = coeffs.band_cyclic.__wrapped__(2**12, 20).data
     M = sp.csr_array((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
     tracemalloc.start()
@@ -458,7 +474,79 @@ def test_already_canonical_int32_csr_is_wrapped_without_copies():
     for attr in ("data", "indices", "indptr"):
         assert not np.shares_memory(getattr(B, attr), getattr(M, attr)), attr
         assert np.array_equal(getattr(B, attr), getattr(A, attr)), attr
-    assert peak <= 1.25 * (B.data.nbytes + B.indices.nbytes + B.indptr.nbytes)
+    # the transpose's slot ids, indices and indptr are alive at once
+    assert owned_nbytes(B) == B.indices.nbytes + B.indptr.nbytes
+    assert peak <= 3.25 * owned_nbytes(B)
+
+
+def test_scipy_keeps_a_broadcast_as_the_values_of_a_csr():
+    # the builders hand scipy broadcast ones; a scipy that copied them would
+    # make every 0/1 build hold its ones twice
+    k = 1000
+    M = sp.csr_array((np.broadcast_to(1.0, k), np.arange(k), np.arange(k + 1)), shape=(k, k))
+    assert M.data.strides == (0,)
+
+
+STORED_ONCE = {
+    # the 0/1 builders' sparse patterns (a dense one stores zeros too)
+    **{
+        f"{b.__name__}{a}": (lambda b=b, a=a: b(*a))
+        for b, a in INTERNED_CASES
+        if b is not coeffs.log_decay_diagonal and b(*a).is_sparse
+    },
+    "wigner(5)": lambda: coeffs.wigner(5),
+    "regular_random": lambda: experiments.regular_random_pattern(200, 5, 3),
+    "rectangular_ones": lambda: coeffs.CoefficientMatrix(sp.eye_array(3, 4, format="csr"), "rectangular"),
+    "rebuilt_within_tol": lambda: coeffs.CoefficientMatrix(
+        _csr([0, 0, 1, 1], [0, 1, 1, 2], [1.0] * 4, 3), "symmetric", sym_tol=1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("make", STORED_ONCE.values(), ids=STORED_ONCE.keys())
+def test_equal_coefficients_are_stored_once(make):
+    C = make()
+    values = C.data.data if C.is_sparse else C.data
+    assert not any(values.strides) and not values.flags.writeable
+    assert np.all(C.toarray()[C.toarray() != 0] == values.flat[0])
+
+
+def test_a_sparse_csv_of_ones_is_stored_once(tmp_path):
+    path = tmp_path / "ones.csv"
+    path.write_text("".join(f"{i},{j},1.0\n" for i in range(100) for j in range(i, min(i + 2, 100))))
+    C = coeffs.load_sparse_csv(path)
+    assert C.is_sparse and C.data.data.strides == (0,)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: coeffs.log_decay_diagonal(100),
+        lambda: coeffs.CoefficientMatrix(sp.diags_array([1.0, 2.0] * 50, format="csr"), "symmetric"),
+        lambda: coeffs.CoefficientMatrix(sp.random_array((30, 50), density=0.04, rng=5, format="csr"), "rectangular"),
+    ],
+    ids=["log_decay_diagonal", "weighted_symmetric", "weighted_rectangular"],
+)
+def test_unequal_coefficients_keep_contiguous_values_of_their_own(make):
+    C = make()
+    values = C.data.data
+    assert values.flags.c_contiguous and values.strides == (8,) and owned_nbytes(values) == 8 * C.nnz
+    assert values.base is None or values.base.size == C.nnz
+
+
+def test_band_cyclic_holds_its_index_arrays_and_one_value():
+    # every numpy buffer alive after the build: the ones cost 8 bytes, not 8 per nonzero
+    tracemalloc.start()
+    try:
+        C = coeffs.band_cyclic.__wrapped__(2**14, 46)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_buffers = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    held = sum(trace.size for trace in numpy_buffers.traces)
+    A = C.data
+    assert A.nnz == 2**14 * 93 and A.data.strides == (0,)
+    assert held <= A.indices.nbytes + A.indptr.nbytes + 64
 
 
 def _noncanonical_csr():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import banded_csr
+from conftest import banded_csr, owned_nbytes
 from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import ParameterError
 from specbound.sampling import (
@@ -650,7 +650,8 @@ def test_build_and_plan_compile_peak_memory():
     C, build_peak = traced_peak(lambda: coeffs.band_cyclic.__wrapped__(2**12, 20))
     A = C.data
     assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
-    assert build_peak <= 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    # the builder's columns, and the symmetry check's transpose of slot ids
+    assert build_peak <= 4.5 * owned_nbytes(A)
     assert not hasattr(C, "_sampling_plan")
     plan, plan_peak = traced_peak(lambda: sampling._plan(C))
     gather = plan[2]

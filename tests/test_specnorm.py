@@ -278,6 +278,21 @@ def test_arpack_precision_follows_tol(monkeypatch, dense, tol, dtype):
     assert type(r.value) is float and type(r.rel_error_bound) is float
 
 
+@pytest.mark.parametrize(
+    "M, method",
+    [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "dense_eig"),  # LAPACK
+        (np.zeros((3, 3)), "dense_eig"),  # the zero shortcut
+        (np.diag([1.0, -3.0, 2.0]), "dense_eig"),  # the diagonal shortcut
+    ],
+    ids=["lapack", "zero", "diagonal"],
+)
+def test_every_branch_reports_python_floats(M, method):
+    r = spectral_norm(M)
+    assert r.method == method
+    assert type(r.value) is float and type(r.rel_error_bound) is float
+
+
 @pytest.mark.parametrize("tol, dtype", [(1e-4, np.float32), (1e-5, np.float32), (1e-6, np.float64)])
 def test_banded_arpack_precision_follows_tol(monkeypatch, tol, dtype):
     real_eigsh = scipy.sparse.linalg.eigsh
