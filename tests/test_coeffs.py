@@ -494,6 +494,7 @@ STORED_ONCE = {
         for b, a in INTERNED_CASES
         if b is not coeffs.log_decay_diagonal and b(*a).is_sparse
     },
+    "block_diagonal(400, 4)": lambda: coeffs.block_diagonal(400, 4),
     "wigner(5)": lambda: coeffs.wigner(5),
     "regular_random": lambda: experiments.regular_random_pattern(200, 5, 3),
     "rectangular_ones": lambda: coeffs.CoefficientMatrix(sp.eye_array(3, 4, format="csr"), "rectangular"),

@@ -645,13 +645,15 @@ def _plan_bytes(plan):
 
 
 def test_build_and_plan_compile_peak_memory():
-    # at most one nnz-sized temporary besides what each step keeps; the
-    # unwrapped builder builds afresh even while an equal pattern is alive
+    # the unwrapped builder builds afresh even while an equal pattern is alive
     C, build_peak = traced_peak(lambda: coeffs.band_cyclic.__wrapped__(2**12, 20))
     A = C.data
     assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
-    # the builder's columns, and the symmetry check's transpose of slot ids
+    # besides the index arrays it keeps (its ones are stored once), the
+    # build holds int32 temporaries only: the builder's columns, and the
+    # symmetry check's slot ids and their transpose
     assert build_peak <= 4.5 * owned_nbytes(A)
+    # compiling a plan holds at most one nnz-sized temporary besides what it keeps
     assert not hasattr(C, "_sampling_plan")
     plan, plan_peak = traced_peak(lambda: sampling._plan(C))
     gather = plan[2]
@@ -675,10 +677,11 @@ def test_build_and_plan_compile_peak_memory():
 
 
 def test_wigner_build_peak_memory():
-    # the constructor's copy is the only n x n array the build holds, besides
-    # the bool of the bitwise symmetry check
+    # the constructor's float copy is the only n x n array the build holds;
+    # the pattern keeps its ones once, which need no symmetry check
     C, peak = traced_peak(lambda: coeffs.wigner.__wrapped__(1024))
-    assert peak <= 1.25 * C.data.nbytes
+    assert owned_nbytes(C.data) == 0
+    assert peak <= 1.25 * 8 * C.rows * C.cols
 
 
 def test_sample_peak_memory():
