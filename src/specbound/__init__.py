@@ -42,6 +42,7 @@ from .bounds import (
     bound_rect,
     bound_reference,
     bound_seginer,
+    expected_max_entry,
     gaussian_moment_bounds,
     lower_bound_estimate,
     lower_bound_explicit,

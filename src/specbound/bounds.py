@@ -17,9 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import lp_entrywise_norm, structural_params
+from .coeffs import _cached, lp_entrywise_norm, structural_params
 from .errors import ParameterError
-from .sampling import NormEstimate, SeedSpec, STREAM_MAX_ENTRY
 from . import sampling, specnorm
 
 EXPLICIT = "explicit"
@@ -200,41 +199,117 @@ def upper_bounds(C, dist, epsilon, p=1.0):
     return reports
 
 
-def _max_entry_maxima(C, trials, seed):
-    """Per-trial max_ij |b_ij g_ij| over the nonzero coefficients.
+# the bracket's grid ratio r is 1 + _BRACKET_STEP / sqrt(2 log 2N) for N
+# coefficients, so that each of its two gaps stays below _BRACKET_STEP * max|b|
+_BRACKET_STEP = 4.5e-4
+_SQRT2 = math.sqrt(2.0)
 
-    One Gaussian per nonzero coefficient in the variate contract order (over
-    i <= j if symmetric), from stream STREAM_MAX_ENTRY; an all-zero pattern
-    gives an empty list.
+
+def _log_phi(x):
+    """log P(|g| <= x) for x > 0, accurate in both tails."""
+    y = x / _SQRT2
+    return math.log(math.erf(y)) if y < 1.0 else math.log1p(-math.erfc(y))
+
+
+def _tail_bound(t, values, counts):
+    """An upper bound on the integral from t to infinity of
+    1 - prod_v P(|g| <= s/v)^(N_v) ds: the union bound sum_v N_v P(|g| > s/v),
+    integrated in closed form with int_y^inf erfc <= exp(-y^2) / (2 sqrt(pi) y^2)."""
+    y = t / (_SQRT2 * values)
+    return float(np.sum(counts * _SQRT2 * values * np.exp(-y * y) / (2.0 * math.sqrt(math.pi) * y * y)))
+
+
+def expected_max_entry(C):
+    """A certified bracket (lo, hi) of E max_k |b_k g_k| over C's contract
+    coefficients (its nonzeros, over i <= j if symmetric) for independent
+    standard Gaussians g_k, computed once per pattern; (0.0, 0.0) if C is zero.
+
+    M = max_k |b_k g_k| has P(M <= t) = prod_v P(|g| <= t/v)^(N_v), with N_v
+    the number of coefficients of size |b| = v, so E M is the integral over
+    t > 0 of f(t) = 1 - prod_v P(|g| <= t/v)^(N_v).  f falls monotonically,
+    so on nodes t_0 < ... < t_K a right-endpoint sum bounds the integral
+    from below and a left-endpoint sum from above.  They differ by
+    sum_k (t_(k+1) - t_k)(f(t_k) - f(t_(k+1))), at most the largest step.
+    On [0, t_0] lo counts t_0 f(t_0) and hi counts t_0; past t_K hi adds
+    ``_tail_bound``.  E M grows with every |b|, so lo rounds each |b| down
+    to a grid v_j = max|b| r^-j (dropping those more than 10 binary orders
+    below max|b|) and hi rounds it up, and both stay certified.  The nodes
+    t_k = max|b| x_0 r^k share the ratio, so t_k / v_j = x_0 r^(k+j): one
+    table of log P(|g| <= x) serves every pair, and each log-product is a
+    sum of shifted copies of that table, one per nonempty grid value.  f is evaluated as
+    -expm1(sum_v N_v log P(|g| <= t/v)) with ``math.erf``/``erfc``/``log1p``.
+    A stored-once pattern is read as one value and its count.  Both ends
+    are moved out by 1e-9 relative, far above their float error.  The
+    bracket is at most about 1e-3 * max|b| wide.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    b = sampling.contract_values(C)
-    if b.size == 0:
-        return []
-    maxima = []
-    g = np.empty(b.shape[0])  # one buffer for every trial's draws
-    for t in range(trials):
-        SeedSpec(seed, t).generator(STREAM_MAX_ENTRY).standard_normal(out=g)
-        g *= b  # |b g| = |b| |g| exactly
-        maxima.append(specnorm._max_abs(g))
-    return maxima
+    return _cached(C, "_max_entry_bracket", _max_entry_bracket)
 
 
-def lower_bound_estimate(C, trials, seed):
-    """Structural lower value sigma + E max_ij |b_ij g_ij| (constant 1).
+def _max_entry_bracket(C):
+    once = sampling.stored_once_contract(C)
+    return _bracket(*((sampling.contract_values(C), None) if once is None else once))
 
-    The max term is the Monte Carlo mean over ``trials`` independent
-    Gaussian draws on the nonzero coefficients; the additive sigma (or
-    sigma1 + sigma2) is deterministic.  The underlying comparison only
-    holds up to a universal constant below 1; for diagonal-like patterns
-    this constant-1 value exceeds the true expected norm.  It is not a
-    bound: see ``lower_bound_explicit`` for one that holds with constant 1.
+
+def _log_products(table, counts, nodes):
+    """sum_j counts[j] table[k + j] at k = 0 .. nodes - 1, over the nonempty buckets j."""
+    out = np.zeros(nodes)
+    for j in np.flatnonzero(counts).tolist():
+        out += counts[j] * table[j : j + nodes]
+    return out
+
+
+def _bracket(b, w):
+    """``expected_max_entry`` of the coefficients ``b``, each counted ``w``
+    times (once if ``w`` is None)."""
+    b = np.abs(b)
+    if not b.size:
+        return 0.0, 0.0
+    vmax, vmin = float(b.max()), float(b.min())
+    total = float(b.size if w is None else w.sum())
+    r = 1.0 + _BRACKET_STEP / math.sqrt(2.0 * math.log(2.0 * total))
+    size = 1 + math.ceil(math.log(min(vmax / vmin, 1024.0), r))
+    grid = vmax * r ** -np.arange(size)  # descending, grid[0] = vmax exactly
+    # lo: the largest grid value <= |b|, or dropped (index size) below the grid;
+    # hi: the smallest grid value >= |b|, or the last one below the grid
+    down = np.searchsorted(-grid, -b, side="left")
+    n_lo = np.bincount(down, weights=w, minlength=size + 1)[:size]
+    n_hi = np.bincount(np.searchsorted(-grid, -b, side="right") - 1, weights=w, minlength=size)
+    # nodes from where P(M <= t) <= P(|g| <= t / min|b|)^N is below e^-40
+    # (or from 2^-7 max|b|: lo then misses at most 0.8 * 2^-14 max|b| below
+    # t_0) to where the tail bound is below 1e-7 max|b|
+    x0 = 2.0**-7
+    while total * _log_phi(1.25 * x0 * vmax / vmin) < -40.0:
+        x0 *= 1.25
+    xT = x0
+    while _tail_bound(xT * vmax, grid, n_hi) > 1e-7 * vmax:
+        xT *= 1.125
+    nodes = 1 + math.ceil(math.log(xT / x0, r))
+    table = np.fromiter(map(_log_phi, (x0 * r ** np.arange(nodes + size - 1)).tolist()), float)
+    t = vmax * x0 * r ** np.arange(nodes)
+    f_lo, f_hi = (-np.expm1(_log_products(table, counts, nodes)) for counts in (n_lo, n_hi))
+    h = np.diff(t)
+    lo = float(t[0] * f_lo[0] + h @ f_lo[1:])
+    hi = float(t[0] + h @ f_hi[:-1]) + _tail_bound(t[-1], grid, n_hi)
+    return lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
+
+
+def lower_bound_estimate(C):
+    """Structural lower value sigma + E max_ij |b_ij g_ij| (constant 1),
+    with sigma1 + sigma2 for a rectangular pattern.
+
+    The max term is the midpoint of ``expected_max_entry``.  The underlying
+    comparison only holds up to a universal constant below 1; for
+    diagonal-like patterns this constant-1 value exceeds the true expected
+    norm by sigma_star.  It is not a bound: see ``lower_bound_explicit`` for
+    one that holds with constant 1.
     """
-    return _structural_lower(C, _max_entry_maxima(C, trials, seed), trials, seed)
+    lo, hi = expected_max_entry(C)
+    p = structural_params(C)
+    offset = p.sigma if C.kind == "symmetric" else p.sigma1 + p.sigma2
+    return offset + (lo + hi) / 2.0
 
 
-def lower_bound_explicit(C, trials, seed):
+def lower_bound_explicit(C):
     """Lower bound max( sqrt(max(s^2 - sigma_star^2, 0)), E max_ij |b_ij g_ij| )
     on E||X|| for Gaussian X, with s = sigma (max(sigma1, sigma2) if rectangular).
 
@@ -247,32 +322,11 @@ def lower_bound_explicit(C, trials, seed):
       sigma_star-Lipschitz in the underlying standard Gaussians.  Taking
       the largest column (or row, for rectangular X^T e_i) gives s.
 
-    The max term is the Monte Carlo mean of the draws ``lower_bound_estimate``
-    uses.  The max is taken over that mean, not per trial: by Jensen the
-    mean of max(a, M_t) exceeds max(a, E M) and is no bound.  std_error is
-    the max term's when it wins and 0.0 when the deterministic term wins.
+    The max term is the certified lower end of ``expected_max_entry``, so
+    the value is deterministic and a bound, not an estimate.
     """
-    return _explicit_lower(C, _max_entry_maxima(C, trials, seed), trials, seed)
-
-
-def _structural_lower(C, maxima, trials, seed):
-    """``lower_bound_estimate`` from already drawn ``_max_entry_maxima``."""
-    if not maxima:
-        return NormEstimate(0.0, 0.0, trials, seed)
     p = structural_params(C)
-    offset = p.sigma if C.kind == "symmetric" else p.sigma1 + p.sigma2
-    return NormEstimate.from_values(maxima, seed, offset=offset)
-
-
-def _explicit_lower(C, maxima, trials, seed):
-    """``lower_bound_explicit`` from already drawn ``_max_entry_maxima``."""
-    p = structural_params(C)
-    floor = math.sqrt(max(p.sigma**2 - p.sigma_star**2, 0.0))
-    if maxima:
-        max_term = NormEstimate.from_values(maxima, seed)
-        if max_term.mean >= floor:
-            return max_term
-    return NormEstimate(floor, 0.0, trials, seed)
+    return max(math.sqrt(max(p.sigma**2 - p.sigma_star**2, 0.0)), expected_max_entry(C)[0])
 
 
 def tail_bound(C, epsilon, t):

@@ -30,6 +30,7 @@ solves such a pattern on a ``specnorm.BandedMatrix`` of the same entries.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,8 +45,7 @@ FAMILIES = ("gaussian", "rademacher", "bounded_uniform", "heavy_tailed", "custom
 # substreams of a trial, so that different consumers never share variates
 STREAM_SAMPLE = 0
 STREAM_SAMPLE_PRIME = 1  # a second, independent draw of a trial's sample
-STREAM_MAX_ENTRY = 2
-STREAM_PATTERN = 3
+STREAM_PATTERN = 3  # stream 2 drew the lower bound's max entries, now an exact bracket
 
 _SQRT3 = math.sqrt(3.0)
 _BANDED_FILL = 1.25  # a banded layout holds at most this many slots per nonzero
@@ -225,6 +225,27 @@ def contract_values(C):
     return A.data if C.kind == "rectangular" else A.data[A.indices >= _rows(A)]
 
 
+def stored_once_contract(C):
+    """(values, counts) of a stored-once pattern's contract coefficients as
+    two arrays of at most one entry, counted without an nnz-sized array;
+    None for a pattern that stores its values one by one."""
+    A = C.data
+    values = A.data if C.is_sparse else A
+    if not values.size or any(values.strides):
+        return None
+    value = values.flat[:1].copy()
+    if value[0] == 0.0:  # only a dense pattern stores zeros
+        count = 0
+    elif not C.is_sparse:
+        n, m = A.shape
+        count = n * (n + 1) // 2 if C.kind == "symmetric" else n * m
+    elif C.kind == "rectangular":
+        count = A.nnz
+    else:  # an exactly mirrored CSR: the upper slots are half the off-diagonal ones plus the diagonal
+        count = (A.nnz + sum(int(np.count_nonzero(i == j)) for _, i, j in _row_blocks(A))) // 2
+    return (value, np.array([float(count)])) if count else (value[:0], value[:0])
+
+
 _NO_HOLES = np.empty(0, dtype=np.intp)
 
 
@@ -261,17 +282,18 @@ def _compile_plan(C):
     if C.is_sparse:
         import scipy.sparse as sp
 
-        def csr(vals):
+        def csr(vals, out):
             return sp.csr_array((vals, A.indices, A.indptr), shape=shape)
 
         gather = _symmetric_sparse_plan(A) if C.kind == "symmetric" else None
         return size, b, gather, _NO_HOLES, csr
     if C.kind == "rectangular" and size == A.size:
-        return size, b, None, _NO_HOLES, lambda vals: vals.reshape(shape)
+        return size, b, None, _NO_HOLES, lambda vals, out: vals.reshape(shape)  # the draw is the sample
     symmetric = C.kind == "symmetric"
 
-    def place(vals):
-        out = np.zeros(shape)
+    def place(vals, out):
+        if out is None:
+            out = np.zeros(shape)
         out[mask] = vals
         if symmetric:
             out.T[mask] = vals
@@ -351,11 +373,12 @@ def _banded_plan(C):
         size += i.shape[0]
     holes = np.flatnonzero(flat < 0)
     flat[holes] = 0
-    return size, b, gather, holes, lambda vals: BandedMatrix(vals, offsets)
+    return size, b, gather, holes, lambda vals, out: BandedMatrix(vals, offsets)
 
 
-def _draw(plan, dist, seed, stream):
-    """One sample through ``plan``: draw, multiply by b, gather, zero the holes, wrap."""
+def _draw(plan, dist, seed, stream, out=None):
+    """One sample through ``plan``: draw, multiply by b, gather, zero the
+    holes, wrap (a dense sample into ``out`` if given)."""
     size, b, gather, holes, wrap = plan
     vals = draw_entries(dist, seed.generator(stream), size)
     if b is not None:
@@ -365,17 +388,33 @@ def _draw(plan, dist, seed, stream):
         vals = vals[gather]
     # +0.0, never -0.0, where b_ij = 0 (fixed CSV bytes)
     vals.reshape(-1)[holes] = 0.0
-    return wrap(vals)
+    return wrap(vals, out)
 
 
-def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE):
+def sample_matrix(C, dist, seed, stream=STREAM_SAMPLE, out=None):
     """One draw of X = (xi_ij b_ij), matching C's storage kind.
 
     One variate per nonzero b_ij (over i <= j, mirrored, if symmetric); the
     zero pattern of C is preserved exactly.  A sparse sample owns its values
-    and shares C's read-only index arrays.
+    and shares C's read-only index arrays.  A dense sample is a fresh array
+    unless ``out`` is given: a zeroed float array of C's shape that has held
+    only samples of C, which the sample then overwrites.
     """
-    return _draw(_plan(C), dist, seed, stream)
+    return _draw(_plan(C), dist, seed, stream, out)
+
+
+_TRIAL = threading.local()  # each trial thread's dense sample buffer, with its plan
+
+
+def _trial_buffer(C):
+    """This thread's zeroed buffer for C's dense samples.  It is kept while
+    the thread samples C and replaced by a new one for another pattern, so
+    a slot of a zero coefficient never holds another pattern's variate."""
+    plan = _plan(C)
+    kept = getattr(_TRIAL, "dense", None)
+    if kept is None or kept[0] is not plan:
+        kept = _TRIAL.dense = (plan, np.zeros(C.data.shape))
+    return kept[1]
 
 
 def trial_sample(C, dist, seed):
@@ -383,11 +422,14 @@ def trial_sample(C, dist, seed):
     as a ``specnorm.BandedMatrix`` when C has a banded layout.
 
     Every entry equals ``sample_matrix``'s bit for bit; only the layout
-    differs.  The layout is compiled on the first trial of the pattern.
+    differs.  The layout is compiled on the first trial of the pattern.  A
+    dense sample is written into one buffer kept per trial thread (see
+    ``_trial_buffer``), so it lives until that thread's next trial sample:
+    a trial consumes it before it draws again.
     """
     plan = _cached(C, "_banded_sampling_plan", _banded_plan)
     if plan is None:
-        return sample_matrix(C, dist, seed)
+        return sample_matrix(C, dist, seed, out=None if C.is_sparse else _trial_buffer(C))
     return _draw(plan, dist, seed, STREAM_SAMPLE)
 
 

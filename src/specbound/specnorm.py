@@ -439,13 +439,15 @@ def _arpack_norm(M, symmetric, tol, peak):
     return NormResult(abs(lam), "lanczos", calls, rel)
 
 
-def row_col_sumsq(M):
+def row_col_sumsq(M, symmetric=False):
     """(row sums, column sums) of the squared entries of a matrix.
 
     Sparse rows and columns are summed sequentially, so an exactly mirrored
-    matrix gives the same bits both ways.  A symmetric ``BandedMatrix``
-    takes one pass over its rows, in offset order: column order wherever no
-    offset wraps around.  Dense sums keep numpy's order."""
+    matrix gives the same bits both ways: with ``symmetric`` (the caller
+    vouches that M equals its transpose exactly) a sparse M is summed by
+    rows alone.  A symmetric ``BandedMatrix`` takes one pass over its rows,
+    in offset order: column order wherever no offset wraps around.  Dense
+    sums keep numpy's order both ways."""
     if isinstance(M, BandedMatrix):
         # scipy sums a DIA row as the matvec of the squares with ones
         rows = M._sum(M.data * M.data, np.ones(M.shape[0]))
@@ -457,21 +459,23 @@ def row_col_sumsq(M):
         sq.sum_duplicates()  # before squaring the stored values
         sq.data **= 2
         # the CSR matvec sums each row in order; 1.0 * x is exact
-        return sq @ np.ones(M.shape[1]), np.asarray(sq.sum(axis=0)).ravel()
+        rows = sq @ np.ones(M.shape[1])
+        return rows, rows if symmetric else np.asarray(sq.sum(axis=0)).ravel()
     A = np.asarray(M, dtype=float)
     sq = A * A
     return sq.sum(axis=1), sq.sum(axis=0)
 
 
-def max_row_norm(M):
+def max_row_norm(M, symmetric=False):
     """max_i ||M e_i||, maximized over both rows and columns.
 
     For symmetric matrices this is exactly the largest Euclidean row norm
-    (bit for bit the column one if sparse or banded); taking both
+    (bit for bit the column one if sparse or banded, so ``symmetric`` skips
+    a sparse M's column pass, see ``row_col_sumsq``); taking both
     orientations keeps it a lower bound on the spectral norm for
     rectangular input too.
     """
-    row, col = row_col_sumsq(M)
+    row, col = row_col_sumsq(M, symmetric)
     return math.sqrt(max(row.max(initial=0.0), col.max(initial=0.0)))
 
 

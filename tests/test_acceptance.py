@@ -209,19 +209,20 @@ def test_criterion_09_lower_bound(name, gauss_norm_estimates):
     # the two-sided regime: at least n entries of size sigma_star
     _, _, b = C.nonzero_entries()
     assert np.count_nonzero(np.abs(b) >= coeffs.structural_params(C).sigma_star) >= C.rows
-    lower = bounds.lower_bound_explicit(C, MC_TRIALS, seed=MC_SEED + 1)
+    # deterministic: the max term is the certified lower end of the exact
+    # E max|b g| bracket, so only the MC mean carries a standard error
+    lower = bounds.lower_bound_explicit(C)
     # constant-1 value sigma + E max|b g|: printed, never asserted (it
     # overshoots E||X|| by sigma_star on diagonal patterns)
-    structural = bounds.lower_bound_estimate(C, MC_TRIALS, seed=MC_SEED + 1)
-    combined = math.hypot(lower.std_error, est.std_error)
-    ok = lower.mean <= est.mean + 3 * combined
+    structural = bounds.lower_bound_estimate(C)
+    ok = lower <= est.mean + 3 * est.std_error
     _line(
         9,
         ok,
-        f"{name}: explicit lower {lower.mean:.4f} <= MC mean {est.mean:.4f} + 3*stderr "
-        f"{3 * combined:.4f} (structural sigma + E max|b g| = {structural.mean:.4f}, not asserted)",
+        f"{name}: explicit lower {lower:.4f} <= MC mean {est.mean:.4f} + 3*stderr "
+        f"{3 * est.std_error:.4f} (structural sigma + E max|b g| = {structural:.4f}, not asserted)",
     )
-    assert ok, (name, lower.mean, est.mean)
+    assert ok, (name, lower, est.mean)
 
 
 def test_criterion_10_semicircle():

@@ -253,70 +253,136 @@ def test_bound_rademacher_examples():
 
 def test_lower_bound_estimate_scalar_case():
     one = coeffs.CoefficientMatrix(np.ones((1, 1)), "symmetric")
-    est = bounds.lower_bound_estimate(one, 4000, seed=11)
-    mhat = est.mean - 1.0  # subtract sigma
-    assert mhat == pytest.approx(math.sqrt(2 / math.pi), abs=0.03)
-    assert est.trials == 4000
+    mhat = bounds.lower_bound_estimate(one) - 1.0  # subtract sigma
+    assert mhat == pytest.approx(math.sqrt(2 / math.pi), abs=1e-3)  # E|g|
 
 
 def test_lower_bound_estimate_diagonal_4096():
     # Monte Carlo oracle: E max of 4096 |g| is 3.802 +- 0.003 (pilot runs
     # with independent generators), so the max term lands in [3.75, 3.85]
-    est = bounds.lower_bound_estimate(coeffs.diagonal(4096), 10_000, seed=12)
-    mhat = est.mean - 1.0
+    mhat = bounds.lower_bound_estimate(coeffs.diagonal(4096)) - 1.0
     assert 3.75 <= mhat <= 3.85
-    assert est.std_error < 0.01
 
 
 def test_lower_bound_estimate_zero_and_rect():
     zero = coeffs.CoefficientMatrix(np.zeros((5, 5)), "symmetric")
-    assert bounds.lower_bound_estimate(zero, 10, seed=0).mean == 0.0
+    assert bounds.lower_bound_estimate(zero) == 0.0
     rect = coeffs.CoefficientMatrix(np.ones((2, 8)), "rectangular")
-    est = bounds.lower_bound_estimate(rect, 500, seed=1)
     p = coeffs.structural_params(rect)
-    assert est.mean > p.sigma1 + p.sigma2  # offset plus a positive max term
+    assert bounds.lower_bound_estimate(rect) > p.sigma1 + p.sigma2  # offset plus a positive max term
 
 
 def test_lower_bound_estimate_deterministic():
-    a = bounds.lower_bound_estimate(coeffs.band(50, 2), 50, seed=5)
-    b = bounds.lower_bound_estimate(coeffs.band(50, 2), 50, seed=5)
-    assert a.mean == b.mean and a.std_error == b.std_error
+    # the same value from a fresh copy of the pattern, and from the bracket
+    # cached on the pattern
+    a = bounds.lower_bound_estimate(coeffs.band(50, 2))
+    b = bounds.lower_bound_estimate(coeffs.band.__wrapped__(50, 2))
+    assert a == b == bounds.lower_bound_estimate(coeffs.band(50, 2))
 
 
 def test_lower_bound_explicit_diagonal_is_max_term():
     C = coeffs.diagonal(512)  # sigma = sigma_star: the deterministic term is 0
-    est = bounds.lower_bound_explicit(C, 100, seed=3)
-    structural = bounds.lower_bound_estimate(C, 100, seed=3)
-    assert est.mean == pytest.approx(structural.mean - 1.0, abs=1e-12)
-    assert est.std_error == pytest.approx(structural.std_error, abs=1e-12)
+    lo, hi = bounds.expected_max_entry(C)
+    assert bounds.lower_bound_explicit(C) == lo
+    assert bounds.lower_bound_estimate(C) - 1.0 == pytest.approx((lo + hi) / 2, abs=1e-12)
 
 
 def test_lower_bound_explicit_wigner_column_term():
     for n in (16, 64, 256):
-        est = bounds.lower_bound_explicit(coeffs.wigner(n), 50, seed=4)
-        assert est.mean == pytest.approx(math.sqrt(n - 1), rel=1e-12)  # beats E max|g| over n(n+1)/2 entries
-        assert est.std_error == 0.0
+        # beats E max|g| over n(n+1)/2 entries
+        assert bounds.lower_bound_explicit(coeffs.wigner(n)) == pytest.approx(math.sqrt(n - 1), rel=1e-12)
 
 
 def test_lower_bound_explicit_zero_pattern():
     zero = coeffs.CoefficientMatrix(np.zeros((5, 5)), "symmetric")
-    est = bounds.lower_bound_explicit(zero, 10, seed=0)
-    assert est.mean == 0.0 and est.std_error == 0.0
+    assert bounds.lower_bound_explicit(zero) == 0.0
+    assert bounds.expected_max_entry(zero) == (0.0, 0.0)
 
 
 def test_lower_bound_explicit_rect_uses_larger_sigma():
     for shape in ((2, 64), (64, 2)):  # sigma1, sigma2 = 8, sqrt(2) and swapped
         rect = coeffs.CoefficientMatrix(np.ones(shape), "rectangular")
-        est = bounds.lower_bound_explicit(rect, 50, seed=6)
-        assert est.mean == pytest.approx(math.sqrt(63), rel=1e-12)
-        assert est.std_error == 0.0
+        assert bounds.lower_bound_explicit(rect) == pytest.approx(math.sqrt(63), rel=1e-12)
 
 
 def test_lower_bound_explicit_deterministic():
-    a = bounds.lower_bound_explicit(coeffs.diagonal(300), 50, seed=5)
-    b = bounds.lower_bound_explicit(coeffs.diagonal(300), 50, seed=5)
-    assert a.mean == b.mean and a.std_error == b.std_error
-    assert np.array_equal(a.per_trial_values, b.per_trial_values)
+    a = bounds.lower_bound_explicit(coeffs.diagonal(300))
+    assert a == bounds.lower_bound_explicit(coeffs.diagonal.__wrapped__(300))
+
+
+# E max_i |g_i| over diagonal(n) and E max_i |b_ii g_i| over
+# log_decay_diagonal(n), by scipy.integrate.quad of 1 - prod_i erf(t / (b_ii
+# sqrt 2)) over t > 0, quoted to four decimals
+QUAD_VALUES = {
+    ("diagonal", 2**8): 3.0442,
+    ("diagonal", 2**16): 4.4430,
+    ("diagonal", 2**20): 5.0077,
+    ("log_decay_diagonal", 2**12): 1.7463,
+    ("log_decay_diagonal", 2**16): 1.7556,
+    ("log_decay_diagonal", 2**20): 1.7599,
+}
+
+
+@pytest.mark.parametrize("case", QUAD_VALUES, ids=[f"{k}({n})" for k, n in QUAD_VALUES])
+def test_expected_max_entry_holds_quadrature_values(case):
+    kind, n = case
+    lo, hi = bounds.expected_max_entry(coeffs.build_pattern(kind, (n,)))
+    assert 0.0 < hi - lo <= 1e-3
+    # the quoted value is the true one rounded to four decimals
+    assert lo - 5e-5 <= QUAD_VALUES[case] <= hi + 5e-5
+
+
+def _monte_carlo_max_entry(C, draws, seed):
+    """Mean and standard error of max_k |b_k g_k| over ``draws`` independent
+    Gaussian vectors on C's contract coefficients (float32 draws)."""
+    b = np.abs(sampling.contract_values(C)).astype(np.float32)
+    rng = np.random.default_rng(seed)
+    maxima = []
+    chunk = max(1, 2**21 // b.size)  # 8 MB of draws at a time
+    for start in range(0, draws, chunk):
+        g = rng.standard_normal((min(chunk, draws - start), b.size), dtype=np.float32)
+        np.abs(g, out=g)
+        g *= b
+        maxima.append(g.max(axis=1))
+    maxima = np.concatenate(maxima).astype(float)
+    return maxima.mean(), maxima.std(ddof=1) / math.sqrt(draws)
+
+
+# every builder pattern, and the four criterion-9 instances
+MAX_ENTRY_PATTERNS = {
+    "wigner(64)": lambda: coeffs.wigner(64),
+    "diagonal(1000)": lambda: coeffs.diagonal(1000),
+    "band(500,3)": lambda: coeffs.band(500, 3),
+    "band_cyclic(600,4)": lambda: coeffs.band_cyclic(600, 4),
+    "block_diagonal(512,8)": lambda: coeffs.block_diagonal(512, 8),
+    "single_entry(10)": lambda: coeffs.single_entry(10),
+    "log_decay_diagonal(3000)": lambda: coeffs.log_decay_diagonal(3000),
+    "regular_random(200,6)": lambda: __import__("specbound.experiments").experiments.regular_random_pattern(200, 6, 1),
+    "rect_signed(30,70)": lambda: coeffs.CoefficientMatrix(np.arange(2100.0).reshape(30, 70) % 7 - 3, "rectangular"),
+    "wigner(256)": lambda: coeffs.wigner(256),
+    "band(4096,16)": lambda: coeffs.band(4096, 16),
+    "diagonal(1024)": lambda: coeffs.diagonal(1024),
+    "block_diagonal(4096,8)": lambda: coeffs.block_diagonal(4096, 8),
+}
+
+
+@pytest.mark.parametrize("build", MAX_ENTRY_PATTERNS.values(), ids=MAX_ENTRY_PATTERNS.keys())
+def test_expected_max_entry_holds_monte_carlo_mean(build):
+    C = build()
+    lo, hi = bounds.expected_max_entry(C)
+    assert 0.0 < hi - lo <= 1e-3 * np.abs(sampling.contract_values(C)).max()
+    mean, se = _monte_carlo_max_entry(C, 2000, seed=0x3A7)
+    assert lo - 3 * se <= mean <= hi + 3 * se, (lo, hi, mean, se)
+
+
+def test_expected_max_entry_cached_and_scale_free(monkeypatch):
+    C = coeffs.log_decay_diagonal(500)
+    lo, hi = bounds.expected_max_entry(C)
+    # E max is 1-homogeneous in b, and so is the bracket up to rounding
+    doubled = bounds.expected_max_entry(coeffs.CoefficientMatrix(2.0 * C.toarray(), "symmetric"))
+    assert doubled == pytest.approx((2 * lo, 2 * hi), rel=1e-12)
+    monkeypatch.setattr(bounds, "_max_entry_bracket", None)  # a second call reads the cache
+    assert bounds.expected_max_entry(C) == (lo, hi)
 
 
 def test_tail_bound_examples():

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specbound import bounds, coeffs, experiments, sampling, specnorm
 from specbound.errors import ParameterError
@@ -379,3 +380,22 @@ def test_bounds_vs_empirical_report_computes_pattern_params_once(monkeypatch):
     assert len(calls) == 1
     for name, entry in rep["upper_bounds"].items():
         assert (entry["sigma"], entry["sigma_star"]) == (params.sigma, params.sigma_star), name
+
+
+def test_symmetric_csr_row_norms_take_the_row_pass_alone(monkeypatch):
+    # a symmetric CSR sample's column sums repeat its row sums bit for bit,
+    # so report's trials skip the column pass without changing the value
+    patterns = (coeffs.block_diagonal(512, 16), experiments.regular_random_pattern(300, 6, 2))
+    for C in patterns:
+        for t in range(4):
+            X = sampling.trial_sample(C, GAUSSIAN, SeedSpec(3, t))
+            assert sp.issparse(X)
+            assert specnorm.max_row_norm(X, symmetric=True) == specnorm.max_row_norm(X)
+    reports = [experiments.bounds_vs_empirical_report(C, GAUSSIAN, 0.5, 3, seed=2) for C in patterns]
+
+    def no_column_pass(*args, **kwargs):
+        raise AssertionError("column pass")
+
+    monkeypatch.setattr(sp.csr_array, "sum", no_column_pass)
+    for C, rep in zip(patterns, reports):
+        assert experiments.bounds_vs_empirical_report(C, GAUSSIAN, 0.5, 3, seed=2) == rep

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,16 +66,6 @@ def _arrays(X):
     if sp.issparse(X):
         return {"data": X.data, "indices": X.indices, "indptr": X.indptr}
     return {"data": X}
-
-
-def _reference_max_entry_maxima(C, trials, seed):
-    b = np.abs(_reference_entries(C)[2])
-    if b.size == 0:
-        return []
-    return [
-        float((b * np.abs(SeedSpec(seed, t).generator(sampling.STREAM_MAX_ENTRY).standard_normal(b.size))).max())
-        for t in range(trials)
-    ]
 
 
 def _sparse_file_pattern(tmp_path):
@@ -143,9 +134,10 @@ def test_sparse_symmetric_sample_matches_reference(build, tmp_path):
 
 @pytest.mark.parametrize("build", ALL_BUILDS.values(), ids=ALL_BUILDS.keys())
 def test_max_entry_maxima_match_reference(build, tmp_path):
+    # the E max|b g| bracket reads the contract coefficients of the reference
+    # (a stored-once pattern as one value and its count), whatever the storage
     C = build(tmp_path)
-    for seed in (11, 12):
-        assert bounds._max_entry_maxima(C, 4, seed) == _reference_max_entry_maxima(C, 4, seed)
+    assert bounds.expected_max_entry(C) == bounds._bracket(_reference_entries(C)[2], None)
 
 
 def _cyclic_band_with_stored_zeros():
@@ -198,8 +190,7 @@ def test_dense_and_sparse_copies_draw_identical_samples(case, tmp_path):
             Y = sample_matrix(sparse, dist, seed).toarray()
             # bitwise, so that the signs of zeros agree too
             assert np.array_equal(X.view(np.int64), Y.view(np.int64))
-    for seed in (11, 12):
-        assert bounds._max_entry_maxima(dense, 4, seed) == bounds._max_entry_maxima(sparse, 4, seed)
+    assert bounds.expected_max_entry(dense) == bounds.expected_max_entry(sparse)
     degrees = np.count_nonzero(a, axis=1)
     for C in (dense, sparse):
         assert np.array_equal(experiments._row_degrees(C), degrees)
@@ -716,16 +707,20 @@ def test_banded_solve_peak_memory():
 
 
 def test_report_temporaries_peak_memory():
-    # the l_p norm holds one filtered copy of the entries (and its mask);
-    # the max-entry draws hold the coefficients and one draw buffer
+    # the l_p norm holds one filtered copy of the entries (and its mask)
     C = coeffs.CoefficientMatrix(np.full((300, 400), -2.0), "rectangular")
     size = C.rows * C.cols
-    for fn in (lambda: coeffs.lp_entrywise_norm(C, 3), lambda: bounds._max_entry_maxima(C, 3, 1)):
-        fn()  # first calls set up numpy's own caches
+    coeffs.lp_entrywise_norm(C, 3)  # the first call sets up numpy's own caches
     _, peak = traced_peak(lambda: coeffs.lp_entrywise_norm(C, 3))
     assert peak <= 9 * size + 2**14
-    _, peak = traced_peak(lambda: bounds._max_entry_maxima(C, 3, 1))
-    assert peak <= 16 * size + 2**14
+    # the E max|b g| bracket of a stored-once pattern reads one value and
+    # counts the coefficients in row blocks: its temporaries (the table of
+    # log P(|g| <= x), about 16,000 nodes) stay below one byte per nonzero
+    for C in (coeffs.CoefficientMatrix(np.full((1000, 3000), -2.0), "rectangular"), coeffs.band_cyclic(2**14, 46)):
+        assert sampling.stored_once_contract(C) is not None
+        bounds._max_entry_bracket(C)
+        _, peak = traced_peak(lambda: bounds._max_entry_bracket(C))
+        assert peak <= 2**20 < C.nnz
 
 def test_band_sample_preserves_zero_pattern():
     C = coeffs.band(7, 1)
@@ -914,3 +909,30 @@ def test_invalid_distributions_rejected():
         EntryDistribution("custom")
     with pytest.raises(ParameterError):
         SeedSpec(0, -1)
+
+
+def test_dense_trial_sample_buffer_is_kept_per_thread_and_pattern():
+    # wigner(64) fills every slot; band(64, 2), dense too, leaves most of
+    # them zero, so a buffer carried over from one to the other would show
+    # wigner's variates in band's zero slots.  Bitwise, so -0.0/+0.0 count.
+    W, B = coeffs.wigner(64), coeffs.band(64, 2)
+    assert not W.is_sparse and not B.is_sparse and W.rows == B.rows
+    held = {name: sample_matrix(C, GAUSSIAN, SeedSpec(5, 0)) for name, C in (("W", W), ("B", B))}
+    kept = {name: X.copy() for name, X in held.items()}
+
+    def trial(t):
+        C = W if t % 3 else B
+        X = sampling.trial_sample(C, GAUSSIAN, SeedSpec(5, t))
+        want = sample_matrix(C, GAUSSIAN, SeedSpec(5, t))
+        assert want is not X and np.array_equal(X.view(np.int64), want.view(np.int64)), t
+        return X
+
+    for t in range(12):  # one thread, alternating patterns
+        trial(t)
+    # one pattern's trials on one thread reuse its buffer; another pattern's do not
+    first = trial(1)
+    assert trial(2) is first and trial(3) is not first
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        list(pool.map(trial, range(40)))
+    for name, X in held.items():  # a sample_matrix result is the caller's own
+        assert np.array_equal(X.view(np.int64), kept[name].view(np.int64)), name
