@@ -409,7 +409,8 @@ _TRIAL = threading.local()  # each trial thread's dense sample buffer, with its 
 def _trial_buffer(C):
     """This thread's zeroed buffer for C's dense samples.  It is kept while
     the thread samples C and replaced by a new one for another pattern, so
-    a slot of a zero coefficient never holds another pattern's variate."""
+    a slot of a zero coefficient never holds another pattern's variate.  A
+    thread keeps its last buffer until it ends."""
     plan = _plan(C)
     kept = getattr(_TRIAL, "dense", None)
     if kept is None or kept[0] is not plan:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -932,7 +933,13 @@ def test_dense_trial_sample_buffer_is_kept_per_thread_and_pattern():
     # one pattern's trials on one thread reuse its buffer; another pattern's do not
     first = trial(1)
     assert trial(2) is first and trial(3) is not first
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        list(pool.map(trial, range(40)))
+    # more trial threads than cores, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert len(list(pool.map(trial, range(48), timeout=120))) == 48
+    finally:
+        sys.setswitchinterval(interval)
     for name, X in held.items():  # a sample_matrix result is the caller's own
         assert np.array_equal(X.view(np.int64), kept[name].view(np.int64)), name
