@@ -236,8 +236,9 @@ def expected_max_entry(C):
     below max|b|) and hi rounds it up, and both stay certified.  The nodes
     t_k = max|b| x_0 r^k share the ratio, so t_k / v_j = x_0 r^(k+j): one
     table of log P(|g| <= x) serves every pair, and each log-product is a
-    sum of shifted copies of that table, one per nonempty grid value.  f is evaluated as
-    -expm1(sum_v N_v log P(|g| <= t/v)) with ``math.erf``/``erfc``/``log1p``.
+    sum of shifted copies of that table, one per nonempty grid value.  f is
+    evaluated as -expm1(sum_v N_v log P(|g| <= t/v)) with
+    ``math.erf``/``erfc``/``log1p``.
     A stored-once pattern is read as one value and its count.  Both ends
     are moved out by 1e-9 relative, far above their float error.  The
     bracket is at most about 1e-3 * max|b| wide.
